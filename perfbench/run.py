@@ -35,8 +35,11 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
 
 # Fresh processes per run that each time one cold set-up; the run
-# reports their median.
-SETUP_REPEATS = 15
+# reports their median. Half run before the measured run and half
+# after it, so the set-ups sample more than one contention regime.
+# A campaign or fleet set-up process takes under 10 ms, a triage one
+# about 0.45 s.
+SETUP_REPEATS = {"campaign": 60, "fleet": 60, "triage": 20}
 
 
 def fail(msg):
@@ -97,11 +100,16 @@ def tool(binary, *args, timeout=170, cpu=None):
     return json.loads(lines[-1])
 
 
-def harvest_file(binary, seed):
-    """The triage workload's harvest for @seed, built once per build."""
-    path = build_dir() / "harvest" / f"seed-{seed}.bin"
+def harvest_file(binary, seed, digest):
+    """The triage workload's harvest for @seed, built once per build of
+    the sources @digest names."""
+    path = build_dir() / "harvest" / f"seed-{seed}-{digest}.bin"
     if not path.is_file():
         path.parent.mkdir(parents=True, exist_ok=True)
+        # Harvests of other sources are stale.
+        for old in path.parent.glob("seed-*.bin"):
+            if not old.name.endswith(f"-{digest}.bin"):
+                old.unlink()
         tmp = path.with_suffix(".tmp")
         tool(binary, "harvest", "--seed", str(seed), "--out", str(tmp))
         tmp.replace(path)
@@ -153,7 +161,8 @@ def per_layer(run, setups):
         values["setup." + key] = statistics.median(s[key] for s in setups)
     out = run["outcomes"]
     repros = out.get("reproducers", 0)
-    fastest = min(u["host_s"] for u in run["units"] if not u["traced"])
+    fastest = min(u["host_s"] for u in run["units"]
+                  if u["in_floor"] and not u["traced"])
     values["outcome.host_ms_per_repro"] = (
         fastest * 1e3 / repros if repros else 0.0)
     for key in ("coverage_points", "bugs_found", "minimized_instrs"):
@@ -170,27 +179,35 @@ def main():
     args = ap.parse_args()
 
     binary = build()
+    digest = source_digest()
     seed = str(args.seed)
     extra = []
     if args.workload == "triage":
-        extra = ["--harvest", str(harvest_file(binary, args.seed))]
+        extra = ["--harvest", str(harvest_file(binary, args.seed, digest))]
 
     # Spread the set-ups over every CPU: other tenants contend each CPU
     # differently (README.md, "Noise").
     cpus = sorted(os.sched_getaffinity(0))
-    setups = [tool(binary, "setup", "--workload", args.workload,
-                   "--seed", seed, *extra, cpu=cpus[i % len(cpus)])
-              for i in range(SETUP_REPEATS)]
-    setup_s = statistics.median(sum(s.values()) for s in setups)
+
+    def setup(i):
+        return tool(binary, "setup", "--workload", args.workload,
+                    "--seed", seed, *extra, cpu=cpus[i % len(cpus)])
+
+    repeats = SETUP_REPEATS[args.workload]
+    setups = [setup(i) for i in range(repeats // 2)]
 
     results = build_dir() / "results"
     results.mkdir(parents=True, exist_ok=True)
     stem = f"{args.workload}-seed{seed}-trace{args.trace}"
+    spans = []
     if args.trace:
-        extra += ["--spans-out", str(results / f"{stem}.spans.json")]
+        spans = ["--spans-out", str(results / f"{stem}.spans.json")]
     run = tool(binary, "run", "--workload", args.workload, "--seed", seed,
                "--seconds", str(args.seconds), "--trace", str(args.trace),
-               *extra, timeout=args.seconds + 150)
+               *extra, *spans, timeout=args.seconds + 150)
+
+    setups += [setup(i) for i in range(repeats // 2, repeats)]
+    setup_s = statistics.median(sum(s.values()) for s in setups)
 
     declared = BENCHMARK["per_layer" if args.trace else "end_to_end"]
     values = per_layer(run, setups) if args.trace else end_to_end(
@@ -201,8 +218,7 @@ def main():
     metrics = {m["name"]: (values[m["name"]], m["unit"]) for m in declared}
     correct = not run["problems"]
 
-    host = dict(run["host"], git_commit=git_commit(),
-                source_digest=source_digest())
+    host = dict(run["host"], git_commit=git_commit(), source_digest=digest)
     record = {
         "workload": args.workload, "seed": args.seed, "trace": args.trace,
         "seconds": args.seconds, "host": host, "digest": run["digest"],

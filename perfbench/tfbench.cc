@@ -11,9 +11,10 @@
  *       "load_s"} as one JSON line.
  *   tfbench run --workload W --seed N --seconds S --trace 0|1
  *               [--harvest FILE] [--spans-out FILE]
- *       Repeat the workload's fixed unit of work until S seconds have
- *       passed and print one JSON line: per-unit host times, the noise
- *       floor, the result digest, correctness accounting, peak RSS and
+ *       Repeat the workload's fixed unit of work a fixed number of
+ *       times, then on until S seconds have passed, and print one JSON
+ *       line: per-unit host times, the noise floor over the fixed
+ *       units, the result digest, correctness accounting, peak RSS and
  *       host metadata. With --trace 1, traced units (span ledger + stage
  *       counters) alternate with untraced ones, and the line also
  *       carries the per-layer ledger and the tracing overhead.
@@ -99,16 +100,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return a;
-}
-
-std::vector<uint8_t>
-readBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        usage("cannot read " + path);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
 }
 
 /** Nearest-rank percentile of @p v (0 < p <= 100). */
@@ -235,6 +226,7 @@ struct UnitRecord
     double simSec = 0.0; ///< simulated seconds the unit stands for
     uint64_t digest = 0;
     std::vector<uint64_t> callNs;
+    bool inFloor = false; ///< among the units the floor is taken over
 };
 
 struct Report
@@ -276,35 +268,44 @@ allowedCpus()
 }
 
 /**
- * Alternate untraced and traced units until @p seconds have passed.
+ * Run @p floor_units untraced units (and, in a traced run, as many
+ * traced units, alternating with them), then keep running units until
+ * @p a.seconds have passed. The floor is taken over the first
+ * @p floor_units of each kind only: a fixed count, so a faster program
+ * does not read lower minima merely because it completed more units.
  * With @p rotate, a single-threaded workload moves to the next allowed
- * CPU every two units: other tenants contend each CPU differently and
- * for tens of seconds at a time, and per-call minima over units spread
- * across CPUs find the uncontended cost (README.md, "Noise").
+ * CPU after every unit (every traced pair in a traced run, so a traced
+ * unit shares its CPU with the untraced one before it): other tenants
+ * contend each CPU differently and for tens of seconds at a time, and
+ * per-call minima over units spread across CPUs find the uncontended
+ * cost (README.md, "Noise").
  */
 template <typename RunUnit>
 void
-measure(const Args &a, Report &rep, bool rotate, RunUnit run_unit)
+measure(const Args &a, Report &rep, bool rotate, size_t floor_units,
+        RunUnit run_unit)
 {
     const std::vector<int> cpus = rotate ? allowedCpus() : std::vector<int>{};
     const telemetry::WallClock clock;
     bool next_traced = false;
     size_t traced = 0, untraced = 0;
-    while (clock.elapsedSec() < a.seconds ||
-           (a.trace && (traced == 0 || untraced == 0)) || untraced == 0) {
-        // A traced unit shares its CPU with the untraced one before it.
+    while (untraced < floor_units || (a.trace && traced < floor_units) ||
+           clock.elapsedSec() < a.seconds) {
         if (!cpus.empty()) {
+            const size_t slot = rep.units.size() / (a.trace ? 2 : 1);
             cpu_set_t set;
             CPU_ZERO(&set);
-            CPU_SET(cpus[rep.units.size() / 2 % cpus.size()], &set);
+            CPU_SET(cpus[slot % cpus.size()], &set);
             sched_setaffinity(0, sizeof set, &set); // best effort
         }
         const bool t = a.trace && next_traced;
+        size_t &done = t ? traced : untraced;
         rep.units.push_back(run_unit(t));
         rep.units.back().traced = t;
+        rep.units.back().inFloor = done < floor_units;
         if (rep.units.size() == 1)
             rep.peakRssMb = maxRssMb();
-        (t ? traced : untraced) += 1;
+        ++done;
         next_traced = !next_traced;
     }
 }
@@ -315,7 +316,7 @@ runCampaignWorkload(const Args &a, Report &rep, SpanLog &log)
     const isa::InstructionLibrary lib = harness::makeDefaultLibrary();
     telemetry::MetricsSnapshot traced_metrics;
     double traced_units = 0;
-    measure(a, rep, true, [&](bool traced) {
+    measure(a, rep, true, campaignFloorUnits, [&](bool traced) {
         const CampaignUnit u = runCampaign(a.seed, lib,
                                            traced ? &log : nullptr);
         rep.attempted += u.iterations;
@@ -369,7 +370,7 @@ runFleetWorkload(const Args &a, Report &rep, SpanLog &log)
     const isa::InstructionLibrary lib = harness::makeDefaultLibrary();
     std::map<std::string, double> sum;
     double traced_units = 0;
-    measure(a, rep, false, [&](bool traced) {
+    measure(a, rep, false, fleetFloorUnits, [&](bool traced) {
         const FleetUnit u = runFleet(a.seed, lib, traced ? &log : nullptr);
         const fleet::FleetResult &r = u.result;
         rep.attempted += r.bugTable.size();
@@ -431,16 +432,13 @@ runFleetWorkload(const Args &a, Report &rep, SpanLog &log)
 void
 runTriageWorkload(const Args &a, Report &rep, SpanLog &log)
 {
-    std::string error;
-    const auto h = decodeHarvest(readBytes(a.harvest), &error);
-    if (!h)
-        usage(a.harvest + ": " + error);
+    const Harvest h = loadHarvest(a.harvest);
     // Simulated seconds the platform spends generating each harvested
     // stimulus and running it to its divergence: the fuzzing time the
     // triaged work stands for.
     const soc::TimingProfile profile = soc::turboFuzzProfile();
     double stimulus_sim_s = 0.0;
-    for (const auto &session : h->sessions) {
+    for (const auto &session : h.sessions) {
         for (const triage::Reproducer &r : session)
             stimulus_sim_s +=
                 profile.iterationSec(r.totalInstrs(), r.commitIndex + 1);
@@ -448,8 +446,8 @@ runTriageWorkload(const Args &a, Report &rep, SpanLog &log)
     check(rep, stimulus_sim_s > 0.0, "the harvest holds no reproducers");
     TriageUnit last_traced;
     double traced_units = 0;
-    measure(a, rep, true, [&](bool traced) {
-        const TriageUnit u = runTriage(*h, traced ? &log : nullptr);
+    measure(a, rep, true, triageFloorUnits, [&](bool traced) {
+        const TriageUnit u = runTriage(h, traced ? &log : nullptr);
         rep.attempted += u.reproducers;
         rep.failed += u.unconfirmed;
         check(rep, u.unconfirmed == 0, "a reproducer did not confirm");
@@ -459,7 +457,7 @@ runTriageWorkload(const Args &a, Report &rep, SpanLog &log)
         rep.outcomes["minimized_instrs"] =
             static_cast<double>(u.minimizedInstrs);
         rep.outcomes["reproducers"] = static_cast<double>(u.reproducers);
-        rep.outcomes["harvest_sim_s"] = h->simSec;
+        rep.outcomes["harvest_sim_s"] = h.simSec;
         rep.outcomes["stimulus_sim_s"] = stimulus_sim_s;
         if (traced) {
             last_traced = u;
@@ -491,10 +489,10 @@ runTriageWorkload(const Args &a, Report &rep, SpanLog &log)
 
 /**
  * Host ms per simulated second at the noise floor: each public call's
- * fastest duration over the (un)traced units, summed. Every repetition
- * makes the same calls on the same inputs, so a call's duration varies
- * only with contention from other tenants of the host, which can only
- * slow it down (README.md, "Noise").
+ * fastest duration over the (un)traced floor units, summed. Every
+ * repetition makes the same calls on the same inputs, so a call's
+ * duration varies only with contention from other tenants of the host,
+ * which can only slow it down (README.md, "Noise").
  */
 double
 floorMsPerSimSec(Report &rep, bool traced)
@@ -502,7 +500,7 @@ floorMsPerSimSec(Report &rep, bool traced)
     std::vector<uint64_t> floor;
     double sim_sec = 0.0;
     for (const UnitRecord &u : rep.units) {
-        if (u.traced != traced)
+        if (u.traced != traced || !u.inFloor)
             continue;
         if (floor.empty()) {
             floor = u.callNs;
@@ -545,6 +543,7 @@ printRun(const Args &a, Report &rep)
     for (size_t i = 0; i < rep.units.size(); ++i) {
         const UnitRecord &u = rep.units[i];
         os << (i ? ", " : "") << "{\"traced\": " << (u.traced ? 1 : 0)
+           << ", \"in_floor\": " << (u.inFloor ? 1 : 0)
            << ", \"host_s\": " << u.hostSec << ", \"ms_per_sim_s\": "
            << u.hostSec * 1e3 / u.simSec << "}";
     }

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/campaign.hh"
 #include "ledger.hh"
 #include "workloads.hh"
@@ -122,6 +124,12 @@ TEST(Harvest, RoundTripsAndRejectsDamagedFiles)
     std::vector<uint8_t> trailing = bytes;
     trailing.push_back(0);
     EXPECT_FALSE(decodeHarvest(trailing, &error));
+
+    // The first reproducer's length field (after magic, version, sim
+    // seconds, session count and reproducer count) claims 4 GiB.
+    std::vector<uint8_t> oversized = bytes;
+    std::fill(oversized.begin() + 24, oversized.begin() + 28, 0xff);
+    EXPECT_FALSE(decodeHarvest(oversized, &error));
 }
 
 TEST(SpanLog, SelfTimeExcludesChildren)

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "fleet/orchestrator.hh"
+#include "soc/snapshot.hh"
 #include "telemetry/clock.hh"
 #include "triage/replay.hh"
 #include "triage/triage_queue.hh"
@@ -83,25 +84,8 @@ fleetCampaignTemplate()
     return o;
 }
 
-std::vector<uint8_t>
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot read " + path);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
 constexpr char harvestMagic[4] = {'P', 'B', 'H', 'V'};
-constexpr uint32_t harvestVersion = 1;
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+constexpr uint32_t harvestVersion = 2;
 
 } // namespace
 
@@ -149,10 +133,7 @@ timeSetup(Workload w, uint64_t seed, const std::string &harvest_path)
     SetupTimes t;
     if (w == Workload::Triage) {
         const uint64_t t0 = telemetry::nowNs();
-        std::string error;
-        const auto h = decodeHarvest(readFile(harvest_path), &error);
-        if (!h)
-            throw std::runtime_error(harvest_path + ": " + error);
+        loadHarvest(harvest_path);
         t.loadSec = secondsSince(t0);
         return t;
     }
@@ -288,76 +269,81 @@ harvestFor(uint64_t seed, const isa::InstructionLibrary &lib)
 std::vector<uint8_t>
 encodeHarvest(const Harvest &h)
 {
-    std::vector<uint8_t> out(harvestMagic, harvestMagic + 4);
-    putU32(out, harvestVersion);
-    uint64_t sim_bits = 0;
-    std::memcpy(&sim_bits, &h.simSec, sizeof sim_bits);
-    putU32(out, static_cast<uint32_t>(sim_bits));
-    putU32(out, static_cast<uint32_t>(sim_bits >> 32));
-    putU32(out, static_cast<uint32_t>(h.sessions.size()));
+    soc::SnapshotWriter out;
+    out.putBytes(reinterpret_cast<const uint8_t *>(harvestMagic), 4);
+    out.putU32(harvestVersion);
+    out.putF64(h.simSec);
+    out.putU32(static_cast<uint32_t>(h.sessions.size()));
     for (const auto &session : h.sessions) {
-        putU32(out, static_cast<uint32_t>(session.size()));
+        out.putU32(static_cast<uint32_t>(session.size()));
         for (const triage::Reproducer &r : session) {
             const std::vector<uint8_t> blob = r.serialize();
-            putU32(out, static_cast<uint32_t>(blob.size()));
-            out.insert(out.end(), blob.begin(), blob.end());
+            out.putU32(static_cast<uint32_t>(blob.size()));
+            out.putBytes(blob.data(), blob.size());
         }
     }
-    return out;
+    return out.takeBuffer();
 }
 
 std::optional<Harvest>
 decodeHarvest(const std::vector<uint8_t> &bytes, std::string *error)
 {
-    size_t pos = 0;
     auto fail = [&](const std::string &msg) -> std::optional<Harvest> {
         if (error)
             *error = msg;
         return std::nullopt;
     };
-    auto getU32 = [&](uint32_t &v) {
-        if (bytes.size() - pos < 4)
-            return false;
-        v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(bytes[pos + i]) << (8 * i);
-        pos += 4;
-        return true;
-    };
-    if (bytes.size() < 4 ||
-        std::memcmp(bytes.data(), harvestMagic, 4) != 0)
-        return fail("not a harvest file");
-    pos = 4;
-    uint32_t version = 0, sim_lo = 0, sim_hi = 0, sessions = 0;
-    if (!getU32(version) || version != harvestVersion)
-        return fail("unsupported harvest version");
-    if (!getU32(sim_lo) || !getU32(sim_hi) || !getU32(sessions))
-        return fail("truncated harvest header");
-    Harvest h;
-    const uint64_t sim_bits = (static_cast<uint64_t>(sim_hi) << 32) | sim_lo;
-    std::memcpy(&h.simSec, &sim_bits, sizeof h.simSec);
-    for (uint32_t k = 0; k < sessions; ++k) {
-        uint32_t count = 0;
-        if (!getU32(count))
-            return fail("truncated session " + std::to_string(k));
-        std::vector<triage::Reproducer> &session = h.sessions.emplace_back();
-        for (uint32_t i = 0; i < count; ++i) {
-            uint32_t len = 0;
-            if (!getU32(len) || bytes.size() - pos < len)
-                return fail("truncated reproducer " + std::to_string(i));
-            const std::vector<uint8_t> blob(bytes.begin() + pos,
-                                            bytes.begin() + pos + len);
-            pos += len;
-            std::string why;
-            auto r = triage::Reproducer::tryDeserialize(blob, &why);
-            if (!r)
-                return fail("reproducer " + std::to_string(i) + ": " + why);
-            session.push_back(std::move(*r));
+    try {
+        soc::SnapshotReader in(bytes);
+        char magic[4];
+        in.getBytes(reinterpret_cast<uint8_t *>(magic), 4);
+        if (std::memcmp(magic, harvestMagic, 4) != 0)
+            return fail("not a harvest file");
+        if (in.getU32() != harvestVersion)
+            return fail("unsupported harvest version");
+        Harvest h;
+        h.simSec = in.getF64();
+        const uint32_t sessions = in.getU32();
+        for (uint32_t k = 0; k < sessions; ++k) {
+            std::vector<triage::Reproducer> &session =
+                h.sessions.emplace_back();
+            const uint32_t count = in.getU32();
+            for (uint32_t i = 0; i < count; ++i) {
+                const uint32_t size = in.getU32();
+                if (size > in.remaining())
+                    return fail("reproducer " + std::to_string(i) +
+                                " size exceeds the file");
+                std::vector<uint8_t> blob(size);
+                in.getBytes(blob.data(), size);
+                std::string why;
+                auto r = triage::Reproducer::tryDeserialize(blob, &why);
+                if (!r)
+                    return fail("reproducer " + std::to_string(i) + ": " +
+                                why);
+                session.push_back(std::move(*r));
+            }
         }
+        if (!in.exhausted())
+            return fail("trailing bytes after the last reproducer");
+        return h;
+    } catch (const soc::SnapshotFormatError &e) {
+        return fail(e.what());
     }
-    if (pos != bytes.size())
-        return fail("trailing bytes after the last reproducer");
-    return h;
+}
+
+Harvest
+loadHarvest(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw std::runtime_error("cannot read " + path);
+    const std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                     std::istreambuf_iterator<char>()};
+    std::string error;
+    std::optional<Harvest> h = decodeHarvest(bytes, &error);
+    if (!h)
+        throw std::runtime_error(path + ": " + error);
+    return std::move(*h);
 }
 
 TriageUnit

@@ -21,6 +21,7 @@
 #ifndef PERFBENCH_WORKLOADS_HH
 #define PERFBENCH_WORKLOADS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -52,6 +53,18 @@ constexpr double campaignBudgetSec = 20.0;
 constexpr unsigned fleetShards = 4;
 constexpr double fleetBudgetSec = 8.0;
 constexpr double fleetEpochSec = 2.0;
+
+/**
+ * Untraced units whose per-call minima make a run's floor (and as many
+ * traced units in a traced run). The count is fixed, so a faster
+ * program does not read lower minima merely because it completed more
+ * units; --seconds is a minimum run time on top. Each takes about 30
+ * s on a 4-vCPU Xeon guest. The single-threaded workloads' counts are
+ * multiples of 4, so units rotating over 4 CPUs visit each equally.
+ */
+constexpr size_t campaignFloorUnits = 12;
+constexpr size_t fleetFloorUnits = 20;
+constexpr size_t triageFloorUnits = 32;
 
 /** Reproducers each harvest campaign keeps (and stops at). */
 constexpr uint32_t harvestReproducers = 64;
@@ -156,6 +169,11 @@ Harvest harvestFor(uint64_t seed,
 std::vector<uint8_t> encodeHarvest(const Harvest &h);
 std::optional<Harvest> decodeHarvest(const std::vector<uint8_t> &bytes,
                                      std::string *error);
+
+/** Read and decode the harvest file at @p path; throws
+ *  std::runtime_error naming the file when it is unreadable or
+ *  damaged. */
+Harvest loadHarvest(const std::string &path);
 
 struct TriageUnit
 {
