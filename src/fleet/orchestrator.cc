@@ -260,9 +260,13 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
     //    seeds once as shared immutable blocks and every importer
     //    reads the same blocks — no per-importer copies; a seed body
     //    is copied only when admission actually re-identifies it into
-    //    the importing corpus. A 1-shard fleet has no peers and
-    //    therefore no round trip at all — this keeps it bit-identical
-    //    to a standalone campaign.
+    //    the importing corpus. Exports run serially; then each
+    //    importer runs as one pool job over its sources in policy
+    //    order. Importers touch only their own corpus and the blocks
+    //    are immutable, so the result is independent of scheduling;
+    //    admitted counts are summed in shard order. A 1-shard fleet
+    //    has no peers and therefore no round trip at all — this
+    //    keeps it bit-identical to a standalone campaign.
     const uint64_t exchange_start = telemetry::nowNs();
     if (n >= 2) {
         if (sync.topology() != ExchangeTopology::None &&
@@ -272,14 +276,24 @@ FleetOrchestrator::epochBarrier(unsigned epoch_idx,
                 exported[i] =
                     shards[i]->exportSeedsShared(sync.topK());
             }
+            std::vector<size_t> admitted(n, 0);
             for (unsigned i = 0; i < n; ++i) {
-                for (unsigned src :
-                     sync.importSources(i, n, epoch_idx)) {
+                std::vector<unsigned> sources =
+                    sync.importSources(i, n, epoch_idx);
+                for (unsigned src : sources)
                     result.seedsExchanged += exported[src].size();
-                    result.seedsAdmitted +=
-                        shards[i]->importSeedsShared(exported[src]);
-                }
+                FleetShard *shard_ptr = shards[i].get();
+                size_t *slot = &admitted[i];
+                pool.submit([shard_ptr, slot, &exported,
+                             sources = std::move(sources)] {
+                    for (unsigned src : sources)
+                        *slot +=
+                            shard_ptr->importSeedsShared(exported[src]);
+                });
             }
+            pool.wait();
+            for (size_t a : admitted)
+                result.seedsAdmitted += a;
         }
         // The coverage-readback round trip happens every barrier,
         // whether or not seeds travelled with it.

@@ -37,18 +37,6 @@ FleetShard::runEpoch(double deadline_sec, ConcurrentStats *aggregate)
         aggregate->add(counters() - before);
 }
 
-std::vector<fuzzer::Seed>
-FleetShard::exportSeeds(size_t k)
-{
-    return camp->generator().exportTopSeeds(k);
-}
-
-size_t
-FleetShard::importSeeds(std::vector<fuzzer::Seed> seeds)
-{
-    return camp->injectSeeds(std::move(seeds));
-}
-
 std::vector<fuzzer::SeedShare>
 FleetShard::exportSeedsShared(size_t k)
 {

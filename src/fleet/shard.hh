@@ -47,18 +47,16 @@ class FleetShard
      */
     void runEpoch(double deadline_sec, ConcurrentStats *aggregate);
 
-    /** Barrier-time: export the corpus's top @p k seeds. */
-    std::vector<fuzzer::Seed> exportSeeds(size_t k);
-
-    /** Barrier-time: import peer seeds; returns admitted count. */
-    size_t importSeeds(std::vector<fuzzer::Seed> seeds);
-
     /** Barrier-time: publish the corpus's top @p k seeds as shared
      *  immutable blocks (zero-copy exchange). */
     std::vector<fuzzer::SeedShare> exportSeedsShared(size_t k);
 
-    /** Barrier-time: import published peer seed blocks; returns
-     *  admitted count (same dedup/admission as importSeeds). */
+    /**
+     * Barrier-time: import published peer seed blocks; returns the
+     * admitted count. Touches only this shard's corpus and reads the
+     * blocks, so the orchestrator may run imports for distinct shards
+     * concurrently on the worker pool.
+     */
     size_t
     importSeedsShared(const std::vector<fuzzer::SeedShare> &shares);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.hh"
@@ -15,6 +16,7 @@ Corpus::Corpus(size_t capacity, SchedulingPolicy policy)
 {
     TF_ASSERT(cap >= 1, "corpus capacity must be >= 1");
     seeds.reserve(cap);
+    hashes.reserve(cap);
 }
 
 void
@@ -32,9 +34,27 @@ Corpus::replaceAt(size_t idx, Seed seed)
     idIndex.erase(seeds[idx].id);
     idIndex[seed.id] = idx;
     seeds[idx] = std::move(seed);
+    hashes[idx] = 0;
     ++evictCount;
     if (tel.evictions)
         tel.evictions->add(1);
+}
+
+void
+Corpus::append(Seed seed)
+{
+    idIndex[seed.id] = seeds.size();
+    seeds.push_back(std::move(seed));
+    hashes.push_back(0);
+}
+
+uint64_t
+Corpus::hashAt(size_t idx)
+{
+    uint64_t &h = hashes[idx];
+    if (h == 0)
+        h = seeds[idx].contentHash();
+    return h;
 }
 
 void
@@ -42,8 +62,7 @@ Corpus::addBaseline(Seed seed)
 {
     seed.insertedAt = nextInsertion++;
     if (seeds.size() < cap) {
-        idIndex[seed.id] = seeds.size();
-        seeds.push_back(std::move(seed));
+        append(std::move(seed));
         if (tel.size)
             tel.size->set(static_cast<int64_t>(seeds.size()));
         return;
@@ -73,8 +92,7 @@ Corpus::offer(Seed seed, uint64_t cov_increment)
     }
 
     if (seeds.size() < cap) {
-        idIndex[seed.id] = seeds.size();
-        seeds.push_back(std::move(seed));
+        append(std::move(seed));
         if (tel.admits) {
             tel.admits->add(1);
             tel.size->set(static_cast<int64_t>(seeds.size()));
@@ -164,67 +182,33 @@ Corpus::updateIncrement(uint64_t seed_id, uint64_t cov_increment)
     seeds[it->second].coverageIncrement = cov_increment;
 }
 
-std::vector<Seed>
-Corpus::exportTop(size_t k) const
+std::vector<size_t>
+Corpus::topK(size_t k) const
 {
-    std::vector<const Seed *> ranked;
-    ranked.reserve(seeds.size());
-    for (const Seed &s : seeds)
-        ranked.push_back(&s);
+    std::vector<size_t> ranked(seeds.size());
+    std::iota(ranked.begin(), ranked.end(), size_t{0});
     const size_t n = std::min(k, ranked.size());
-    // Deterministic total order so every shard exports the same set
-    // for the same corpus state regardless of container layout.
-    const auto better = [](const Seed *a, const Seed *b) {
-        if (a->coverageIncrement != b->coverageIncrement)
-            return a->coverageIncrement > b->coverageIncrement;
-        return a->insertedAt < b->insertedAt;
+    const auto better = [this](size_t a, size_t b) {
+        if (seeds[a].coverageIncrement != seeds[b].coverageIncrement)
+            return seeds[a].coverageIncrement > seeds[b].coverageIncrement;
+        return seeds[a].insertedAt < seeds[b].insertedAt;
     };
     std::partial_sort(ranked.begin(),
                       ranked.begin() + static_cast<std::ptrdiff_t>(n),
                       ranked.end(), better);
-    std::vector<Seed> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        out.push_back(*ranked[i]);
-    return out;
+    ranked.resize(n);
+    return ranked;
 }
 
 std::vector<SeedShare>
 Corpus::exportTopShared(size_t k)
 {
-    std::vector<const Seed *> ranked;
-    ranked.reserve(seeds.size());
-    for (const Seed &s : seeds)
-        ranked.push_back(&s);
-    const size_t n = std::min(k, ranked.size());
-    // Same deterministic total order as exportTop().
-    const auto better = [](const Seed *a, const Seed *b) {
-        if (a->coverageIncrement != b->coverageIncrement)
-            return a->coverageIncrement > b->coverageIncrement;
-        return a->insertedAt < b->insertedAt;
-    };
-    std::partial_sort(ranked.begin(),
-                      ranked.begin() + static_cast<std::ptrdiff_t>(n),
-                      ranked.end(), better);
-    // Exchange-relevant metadata: everything an importer's admission
-    // or genealogy keeps. id/insertedAt/parentId are re-assigned on
-    // import and deliberately absent.
-    const auto sameExported = [](const Seed &a, const Seed &b) {
-        return a.coverageIncrement == b.coverageIncrement &&
-               a.originOp == b.originOp &&
-               a.lineageDepth == b.lineageDepth &&
-               a.energyAtCreation == b.energyAtCreation;
-    };
+    const std::vector<size_t> top = topK(k);
     std::vector<SeedShare> out;
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        const Seed &s = *ranked[i];
-        const uint64_t hash = s.contentHash();
-        auto [it, inserted] = publishCache.try_emplace(hash);
-        if (inserted || !sameExported(*it->second, s))
-            it->second = std::make_shared<const Seed>(s);
-        out.push_back({it->second, hash});
-    }
+    out.reserve(top.size());
+    for (size_t idx : top)
+        out.push_back(
+            {std::make_shared<const Seed>(seeds[idx]), hashAt(idx)});
     return out;
 }
 
@@ -232,13 +216,16 @@ size_t
 Corpus::importShared(const std::vector<SeedShare> &shares,
                      uint64_t &next_seed_id)
 {
-    // Identical dedup semantics to importSeeds(); the only difference
-    // is that the hash was computed once at publish time and a seed
-    // is copied out of its shared block only when it survives dedup.
+    // Content hashes of the seeds resident at the start of the call:
+    // a broadcast fleet offers the same top-K exemplars at every
+    // barrier, and re-identified copies must not be re-admitted as
+    // fresh stimuli. Each resident's hash is computed once and cached;
+    // a seed body is copied out of its shared block only when it
+    // survives dedup.
     std::unordered_set<uint64_t> resident;
     resident.reserve(seeds.size() + shares.size());
-    for (const Seed &s : seeds)
-        resident.insert(s.contentHash());
+    for (size_t i = 0; i < seeds.size(); ++i)
+        resident.insert(hashAt(i));
 
     size_t admitted = 0;
     for (const SeedShare &share : shares) {
@@ -249,40 +236,6 @@ Corpus::importShared(const std::vector<SeedShare> &shares,
             continue;
         }
         Seed s = *share.seed;
-        s.id = next_seed_id++;
-        // Imports become lineage roots, exactly as in importSeeds().
-        s.parentId = 0;
-        const uint64_t increment = s.coverageIncrement;
-        if (offer(std::move(s), increment))
-            ++admitted;
-    }
-    if (tel.importsAdmitted)
-        tel.importsAdmitted->add(admitted);
-    return admitted;
-}
-
-size_t
-Corpus::importSeeds(std::vector<Seed> imported, uint64_t &next_seed_id)
-{
-    // Content hashes of the resident seeds: a broadcast fleet offers
-    // the same top-K exemplars at every barrier, and re-identified
-    // copies must not be re-admitted as fresh stimuli. The set is
-    // rebuilt per import because residents change between barriers;
-    // corpora are small (BRAM-capacity bound), so this is cheap.
-    std::unordered_set<uint64_t> resident;
-    resident.reserve(seeds.size() + imported.size());
-    for (const Seed &s : seeds)
-        resident.insert(s.contentHash());
-
-    size_t admitted = 0;
-    for (Seed &s : imported) {
-        const uint64_t hash = s.contentHash();
-        if (!resident.insert(hash).second) {
-            ++dupImportCount;
-            if (tel.importsDuplicate)
-                tel.importsDuplicate->add(1);
-            continue;
-        }
         s.id = next_seed_id++;
         // The parent id belongs to the exporting shard's id space;
         // keeping it would alias an unrelated local seed. Imports
@@ -339,6 +292,7 @@ Corpus::loadState(soc::SnapshotReader &in, std::string *error)
 
     seeds.clear();
     idIndex.clear();
+    hashes.clear();
     seeds.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
         if (in.remaining() < 45)
@@ -355,8 +309,7 @@ Corpus::loadState(soc::SnapshotReader &in, std::string *error)
             return false;
         if (idIndex.count(s.id))
             return fail("duplicate seed id in corpus image");
-        idIndex[s.id] = seeds.size();
-        seeds.push_back(std::move(s));
+        append(std::move(s));
     }
     if (tel.size)
         tel.size->set(static_cast<int64_t>(seeds.size()));

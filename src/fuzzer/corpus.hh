@@ -101,48 +101,35 @@ class Corpus
     void updateIncrement(uint64_t seed_id, uint64_t cov_increment);
 
     /**
-     * Export copies of the top @p k seeds by recorded coverage
-     * increment (ties broken by age, oldest first), e.g. for
-     * cross-shard seed exchange. Returns fewer when the corpus holds
-     * fewer than @p k seeds.
+     * Indices into entries() of the top @p k seeds by recorded
+     * coverage increment, ties broken by age (oldest first) — a
+     * deterministic total order, so every shard ranks the same corpus
+     * state the same way regardless of container layout. Returns
+     * fewer when the corpus holds fewer than @p k seeds.
      */
-    std::vector<Seed> exportTop(size_t k) const;
+    std::vector<size_t> topK(size_t k) const;
 
     /**
-     * Import seeds from another corpus (a peer shard). Imports are
-     * deduplicated by content hash — against the resident seeds and
-     * within the imported batch itself — because re-identification
-     * would otherwise let the same top-K stimulus re-enter as "new"
-     * at every broadcast barrier, flooding the corpus with duplicates
-     * and skewing select() toward one pattern. Each surviving seed is
-     * re-identified from @p next_seed_id — the caller's id allocator —
-     * so imported ids never collide with locally archived ones, then
-     * offered through the normal admission path with its recorded
-     * coverage increment as the priority signal.
-     *
-     * @return number of seeds admitted.
-     */
-    size_t importSeeds(std::vector<Seed> imported,
-                       uint64_t &next_seed_id);
-
-    /**
-     * Zero-copy variant of exportTop(): the same deterministic top-K
-     * selection, but each exported seed is published as a shared
-     * immutable block (SeedShare). Publications are cached by content
-     * hash, so a seed that stays in the top-K across epochs is copied
-     * once, not once per barrier; a cached block is re-published when
-     * the resident's exchange-relevant metadata (recorded increment,
-     * genealogy) moved since. Non-const only for the cache — the
-     * resident seeds are untouched.
+     * Publish the top @p k seeds (topK order) for cross-shard
+     * exchange, each as a fresh shared immutable block (SeedShare)
+     * with its content hash. Non-const only because it fills the
+     * per-seed hash cache; the resident seeds are untouched.
      */
     std::vector<SeedShare> exportTopShared(size_t k);
 
     /**
-     * Zero-copy variant of importSeeds(): identical dedup (against
-     * residents and within the batch, by the precomputed content
-     * hash), identical re-identification from @p next_seed_id and
-     * identical admission control — but only seeds that survive
-     * dedup are copied out of the shared block.
+     * Import seeds published by another corpus (a peer shard).
+     * Imports are deduplicated by content hash — against the seeds
+     * resident when the call starts and within the batch itself —
+     * because re-identification would otherwise let the same top-K
+     * stimulus re-enter as "new" at every broadcast barrier, flooding
+     * the corpus with duplicates and skewing select() toward one
+     * pattern. Each surviving seed is copied out of its shared block,
+     * re-identified from @p next_seed_id — the caller's id allocator
+     * — so imported ids never collide with locally archived ones,
+     * made a lineage root, then offered through the normal admission
+     * path with its recorded coverage increment as the priority
+     * signal.
      *
      * @return number of seeds admitted.
      */
@@ -179,8 +166,16 @@ class Corpus
     const std::vector<Seed> &entries() const { return seeds; }
 
   private:
-    /** Replace the resident seed at @p idx, keeping idIndex in sync. */
+    /** Replace the resident seed at @p idx, keeping idIndex and the
+     *  hash cache in sync. */
     void replaceAt(size_t idx, Seed seed);
+
+    /** Append a resident seed, keeping idIndex and the hash cache in
+     *  sync. */
+    void append(Seed seed);
+
+    /** Content hash of the resident seed at @p idx (cached). */
+    uint64_t hashAt(size_t idx);
 
     size_t cap;
     SchedulingPolicy pol;
@@ -195,13 +190,13 @@ class Corpus
     std::unordered_map<uint64_t, size_t> idIndex;
 
     /**
-     * Content hash -> published immutable block (exportTopShared).
-     * Purely an allocation cache: never checkpointed, never read by
-     * scheduling, and bounded by the distinct contents this corpus
-     * ever exported (top-K sets are stable epoch over epoch).
+     * Content hash of each resident seed, parallel to `seeds`; 0 means
+     * not computed yet. Filled on first use by the exchange paths
+     * (admission never hashes: a campaign that never exchanges never
+     * pays for it) and reset whenever a slot's seed changes, so each
+     * resident is hashed at most once. Never checkpointed.
      */
-    std::unordered_map<uint64_t, std::shared_ptr<const Seed>>
-        publishCache;
+    std::vector<uint64_t> hashes;
 
     uint64_t nextInsertion = 0;
     uint64_t evictCount = 0;

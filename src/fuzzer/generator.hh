@@ -56,8 +56,9 @@ class StimulusGenerator
     virtual void bindTelemetry(telemetry::MetricRegistry * /*reg*/) {}
 
     /**
-     * Fleet seed exchange: accept seeds exported by a peer shard.
-     * Generators without a corpus ignore the offer.
+     * Value-copy convenience over importSharedSeeds(): the same
+     * dedup, re-identification and admission for seeds held by
+     * value. Generators without a corpus ignore the offer.
      * @return number of seeds admitted.
      */
     virtual size_t importSeeds(std::vector<Seed> /*seeds*/)
@@ -66,8 +67,9 @@ class StimulusGenerator
     }
 
     /**
-     * Fleet seed exchange: export up to @p k of the most productive
-     * archived seeds. Generators without a corpus export nothing.
+     * Value-copy convenience: copies of up to @p k of the most
+     * productive archived seeds, in exportTopSharedSeeds() order.
+     * Generators without a corpus export nothing.
      */
     virtual std::vector<Seed> exportTopSeeds(size_t /*k*/) const
     {
@@ -75,10 +77,9 @@ class StimulusGenerator
     }
 
     /**
-     * Zero-copy fleet seed exchange (seed.hh SeedShare): accept
-     * shared immutable seed blocks published by a peer shard.
-     * Semantics are identical to importSeeds() — same dedup, same
-     * re-identification, same admission — minus the per-seed copies.
+     * Fleet seed exchange (seed.hh SeedShare): accept shared
+     * immutable seed blocks published by a peer shard. Generators
+     * without a corpus ignore the offer.
      * @return number of seeds admitted.
      */
     virtual size_t
@@ -88,9 +89,10 @@ class StimulusGenerator
     }
 
     /**
-     * Zero-copy fleet seed exchange: publish up to @p k top seeds as
-     * shared immutable blocks. Non-const because publication caches
-     * the blocks; observable corpus state is untouched.
+     * Fleet seed exchange: publish up to @p k top seeds as shared
+     * immutable blocks. Non-const because publication fills the
+     * corpus's content-hash cache; observable corpus state is
+     * untouched. Generators without a corpus export nothing.
      */
     virtual std::vector<SeedShare> exportTopSharedSeeds(size_t /*k*/)
     {
@@ -175,13 +177,21 @@ class TurboFuzzGenerator : public StimulusGenerator
     size_t
     importSeeds(std::vector<Seed> seeds) override
     {
-        return fuzzer.importSeeds(std::move(seeds));
+        std::vector<SeedShare> shares;
+        shares.reserve(seeds.size());
+        for (Seed &s : seeds)
+            shares.push_back(makeSeedShare(std::move(s)));
+        return fuzzer.importSharedSeeds(shares);
     }
 
     std::vector<Seed>
     exportTopSeeds(size_t k) const override
     {
-        return fuzzer.exportTopSeeds(k);
+        const Corpus &corpus = fuzzer.corpus();
+        std::vector<Seed> out;
+        for (size_t idx : corpus.topK(k))
+            out.push_back(corpus.entries()[idx]);
+        return out;
     }
 
     size_t

@@ -97,27 +97,42 @@ readSeedBlocks(soc::SnapshotReader &r, std::vector<SeedBlock> &blocks,
 uint64_t
 Seed::contentHash() const
 {
-    // FNV-1a over the block contents; scheduling metadata (id,
-    // increment, age) is deliberately excluded so re-identified
-    // imports of the same stimulus hash identically.
-    uint64_t h = 0xcbf29ce484222325ull;
+    // One multiply-and-xorshift step per 64-bit word of block
+    // content; scheduling metadata (id, increment, age) and genealogy
+    // are deliberately excluded so re-identified imports of the same
+    // stimulus hash identically. Each step is a bijection of the
+    // state for a fixed word, so any single-word difference always
+    // moves the hash. Fields are packed losslessly: an instruction
+    // count never reaches bit 63, and the 32-bit fields pair up two
+    // to a word (the count disambiguates an odd last word).
+    uint64_t h = 0x9e3779b97f4a7c15ull;
     auto mix = [&h](uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001b3ull;
-        }
+        h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
+        h ^= h >> 31;
     };
     mix(blocks.size());
     for (const SeedBlock &b : blocks) {
-        mix(b.insns.size());
-        for (uint32_t insn : b.insns)
-            mix(insn);
-        mix(b.primeIdx);
-        mix(b.isControlFlow ? 1 : 0);
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(b.targetBlock)));
+        const size_t n = b.insns.size();
+        const uint32_t *w = b.insns.data();
+        const uint64_t target = static_cast<uint32_t>(b.targetBlock);
+        mix(static_cast<uint64_t>(n) |
+            static_cast<uint64_t>(b.isControlFlow) << 63);
+        mix(b.primeIdx | target << 32);
         mix(b.position);
+        size_t i = 0;
+        for (; i + 1 < n; i += 2)
+            mix(w[i] | static_cast<uint64_t>(w[i + 1]) << 32);
+        if (i < n)
+            mix(w[i]);
     }
     return h;
+}
+
+SeedShare
+makeSeedShare(Seed seed)
+{
+    const uint64_t hash = seed.contentHash();
+    return {std::make_shared<const Seed>(std::move(seed)), hash};
 }
 
 std::vector<uint8_t>

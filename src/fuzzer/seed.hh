@@ -129,10 +129,12 @@ struct Seed
 
     /**
      * Stable 64-bit hash of the stimulus content (the blocks and
-     * their metadata) — independent of id, recorded increment and
-     * insertion age. Two seeds with equal hashes carry the same
-     * stimulus for all practical purposes; the corpus uses this to
-     * deduplicate cross-shard imports (see Corpus::importSeeds).
+     * their metadata) — independent of id, recorded increment,
+     * insertion age and genealogy. Two seeds with equal hashes carry
+     * the same stimulus for all practical purposes; the corpus uses
+     * this to deduplicate cross-shard imports (see
+     * Corpus::importShared). Values are compared for equality only
+     * and never persisted.
      */
     uint64_t contentHash() const;
 
@@ -172,6 +174,9 @@ struct SeedShare
     std::shared_ptr<const Seed> seed;
     uint64_t contentHash = 0;
 };
+
+/** Publish a standalone seed as a SeedShare (hashes it once). */
+SeedShare makeSeedShare(Seed seed);
 
 /** Append the block array in the Seed wire format. */
 void writeSeedBlocks(soc::SnapshotWriter &w,

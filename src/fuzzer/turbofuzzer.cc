@@ -398,18 +398,6 @@ TurboFuzzer::addSeed(Seed seed)
 }
 
 size_t
-TurboFuzzer::importSeeds(std::vector<Seed> seeds)
-{
-    return seedCorpus.importSeeds(std::move(seeds), nextSeedId);
-}
-
-std::vector<Seed>
-TurboFuzzer::exportTopSeeds(size_t k) const
-{
-    return seedCorpus.exportTop(k);
-}
-
-size_t
 TurboFuzzer::importSharedSeeds(const std::vector<SeedShare> &shares)
 {
     return seedCorpus.importShared(shares, nextSeedId);

@@ -176,19 +176,12 @@ class TurboFuzzer
     void addSeed(Seed seed);
 
     /**
-     * Import peer-shard seeds (fleet seed exchange). Each seed is
-     * re-identified into this fuzzer's id space before the corpus's
-     * normal admission control runs.
+     * Import published peer-shard seed blocks (fleet seed exchange).
+     * Each surviving seed is re-identified into this fuzzer's id
+     * space before the corpus's normal admission control runs
+     * (Corpus::importShared).
      * @return number of seeds admitted.
      */
-    size_t importSeeds(std::vector<Seed> seeds);
-
-    /** Export the corpus's top @p k seeds for cross-shard exchange. */
-    std::vector<Seed> exportTopSeeds(size_t k) const;
-
-    /** Zero-copy import of published peer-shard seed blocks; same
-     *  dedup and admission as importSeeds().
-     *  @return number of seeds admitted. */
     size_t importSharedSeeds(const std::vector<SeedShare> &shares);
 
     /** Publish the corpus's top @p k seeds as shared immutable
@@ -203,6 +196,7 @@ class TurboFuzzer
     }
 
     Corpus &corpus() { return seedCorpus; }
+    const Corpus &corpus() const { return seedCorpus; }
     const FuzzerOptions &options() const { return opts; }
     const MutationScheduler &scheduler() const { return *sched; }
 

@@ -403,12 +403,6 @@ Campaign::runSlice(double deadline_sec, TimeSeries &series)
 }
 
 size_t
-Campaign::injectSeeds(std::vector<fuzzer::Seed> seeds)
-{
-    return gen->importSeeds(std::move(seeds));
-}
-
-size_t
 Campaign::injectSharedSeeds(
     const std::vector<fuzzer::SeedShare> &shares)
 {

@@ -231,16 +231,9 @@ class Campaign
     bool runSlice(double deadline_sec, TimeSeries &series);
 
     /**
-     * Inject external seeds into the generator's corpus (fleet seed
+     * Inject shared immutable seed blocks published by a peer shard
+     * (fuzzer::SeedShare) into the generator's corpus (fleet seed
      * exchange). Safe to call between iterations only.
-     * @return number of seeds admitted.
-     */
-    size_t injectSeeds(std::vector<fuzzer::Seed> seeds);
-
-    /**
-     * Zero-copy variant of injectSeeds(): accept shared immutable
-     * seed blocks published by a peer shard (fuzzer::SeedShare).
-     * Same dedup and admission; safe between iterations only.
      * @return number of seeds admitted.
      */
     size_t

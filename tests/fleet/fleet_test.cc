@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <set>
 
@@ -209,33 +210,67 @@ TEST(FleetOrchestratorTest, FourShardsBeatBestSingleShard)
  */
 TEST(FleetOrchestratorTest, RepeatedRunsAreIdentical)
 {
-    auto run_fleet = [](unsigned threads) {
+    /** One shard's corpus in order: id, increment, content hash. */
+    using CorpusImage = std::vector<std::array<uint64_t, 3>>;
+    struct Run
+    {
+        FleetResult result;
+        std::vector<CorpusImage> corpora;
+    };
+    // Ring is the default topology; broadcast makes every shard
+    // import from every peer, so parallel imports run three at once.
+    auto run_fleet = [](ExchangeTopology topology, unsigned threads) {
         FleetConfig fc = fleetConfig(3, 2.25, 0.75, 11);
+        fc.topology = topology;
         fc.workerThreads = threads; // vary scheduling pressure
         FleetOrchestrator orch(fc, campaignOpts(), fuzzerOpts(),
                                &lib());
-        return orch.run();
+        Run run{orch.run(), {}};
+        for (unsigned i = 0; i < orch.shardCount(); ++i) {
+            auto *gen = dynamic_cast<fuzzer::TurboFuzzGenerator *>(
+                &orch.shard(i).campaign().generator());
+            CorpusImage image;
+            for (const fuzzer::Seed &s :
+                 gen->underlying().corpus().entries())
+                image.push_back(
+                    {s.id, s.coverageIncrement, s.contentHash()});
+            run.corpora.push_back(std::move(image));
+        }
+        return run;
     };
-    const FleetResult a = run_fleet(3);
-    const FleetResult b = run_fleet(1); // fully serialized schedule
+    for (ExchangeTopology topology :
+         {ExchangeTopology::Ring, ExchangeTopology::Broadcast}) {
+        SCOPED_TRACE(topology == ExchangeTopology::Ring ? "ring"
+                                                        : "broadcast");
+        const Run ra = run_fleet(topology, 3);
+        const Run rb = run_fleet(topology, 1); // fully serialized
+        const FleetResult &a = ra.result;
+        const FleetResult &b = rb.result;
 
-    ASSERT_EQ(a.mergedCoverage.samples().size(),
-              b.mergedCoverage.samples().size());
-    for (size_t i = 0; i < a.mergedCoverage.samples().size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.mergedCoverage.samples()[i].value,
-                         b.mergedCoverage.samples()[i].value);
-    }
-    EXPECT_EQ(a.mergedFinalCoverage, b.mergedFinalCoverage);
-    EXPECT_EQ(a.totals.iterations, b.totals.iterations);
-    EXPECT_EQ(a.totals.executedInstrs, b.totals.executedInstrs);
-    EXPECT_EQ(a.totals.mismatches, b.totals.mismatches);
-    EXPECT_EQ(a.seedsExchanged, b.seedsExchanged);
-    EXPECT_EQ(a.seedsAdmitted, b.seedsAdmitted);
-    ASSERT_EQ(a.mismatches.size(), b.mismatches.size());
-    for (size_t i = 0; i < a.mismatches.size(); ++i) {
-        EXPECT_EQ(a.mismatches[i].shard, b.mismatches[i].shard);
-        EXPECT_EQ(a.mismatches[i].mismatch.pc,
-                  b.mismatches[i].mismatch.pc);
+        ASSERT_EQ(a.mergedCoverage.samples().size(),
+                  b.mergedCoverage.samples().size());
+        for (size_t i = 0; i < a.mergedCoverage.samples().size(); ++i) {
+            EXPECT_DOUBLE_EQ(a.mergedCoverage.samples()[i].value,
+                             b.mergedCoverage.samples()[i].value);
+        }
+        EXPECT_EQ(a.mergedFinalCoverage, b.mergedFinalCoverage);
+        EXPECT_EQ(a.totals.iterations, b.totals.iterations);
+        EXPECT_EQ(a.totals.executedInstrs, b.totals.executedInstrs);
+        EXPECT_EQ(a.totals.mismatches, b.totals.mismatches);
+        EXPECT_EQ(a.seedsExchanged, b.seedsExchanged);
+        EXPECT_EQ(a.seedsAdmitted, b.seedsAdmitted);
+        EXPECT_GT(a.seedsAdmitted, 0u);
+        ASSERT_EQ(a.mismatches.size(), b.mismatches.size());
+        for (size_t i = 0; i < a.mismatches.size(); ++i) {
+            EXPECT_EQ(a.mismatches[i].shard, b.mismatches[i].shard);
+            EXPECT_EQ(a.mismatches[i].mismatch.pc,
+                      b.mismatches[i].mismatch.pc);
+        }
+        ASSERT_EQ(ra.corpora.size(), 3u);
+        for (size_t i = 0; i < ra.corpora.size(); ++i) {
+            EXPECT_FALSE(ra.corpora[i].empty()) << "shard " << i;
+            EXPECT_EQ(ra.corpora[i], rb.corpora[i]) << "shard " << i;
+        }
     }
 }
 

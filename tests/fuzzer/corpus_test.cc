@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fuzzer/corpus.hh"
 #include "soc/snapshot.hh"
@@ -212,15 +215,25 @@ TEST(Corpus, ExportTopReturnsBestByIncrement)
     Corpus c(8, SchedulingPolicy::CoverageGuided);
     for (uint64_t i = 1; i <= 6; ++i)
         c.offer(seedWithId(i), i * 10);
-    const std::vector<Seed> top = c.exportTop(3);
+    const std::vector<SeedShare> top = c.exportTopShared(3);
     ASSERT_EQ(top.size(), 3u);
-    EXPECT_EQ(top[0].id, 6u);
-    EXPECT_EQ(top[1].id, 5u);
-    EXPECT_EQ(top[2].id, 4u);
+    EXPECT_EQ(top[0].seed->id, 6u);
+    EXPECT_EQ(top[1].seed->id, 5u);
+    EXPECT_EQ(top[2].seed->id, 4u);
+    // Each block carries its seed's content hash.
+    for (const SeedShare &share : top)
+        EXPECT_EQ(share.contentHash, share.seed->contentHash());
+    // topK ranks the same seeds by index into entries().
+    const std::vector<size_t> idx = c.topK(3);
+    ASSERT_EQ(idx.size(), 3u);
+    for (size_t i = 0; i < idx.size(); ++i)
+        EXPECT_EQ(c.entries()[idx[i]].id, top[i].seed->id);
     // Asking for more than resident returns everything.
-    EXPECT_EQ(c.exportTop(100).size(), 6u);
-    // Export copies; the corpus is untouched.
+    EXPECT_EQ(c.exportTopShared(100).size(), 6u);
+    EXPECT_EQ(c.topK(100).size(), 6u);
+    // Export copies into fresh blocks; the corpus is untouched.
     EXPECT_EQ(c.size(), 6u);
+    EXPECT_NE(top[0].seed.get(), &c.entries()[idx[0]]);
 }
 
 TEST(Corpus, ExportTopBreaksTiesByAge)
@@ -229,10 +242,10 @@ TEST(Corpus, ExportTopBreaksTiesByAge)
     c.offer(seedWithId(10), 50);
     c.offer(seedWithId(11), 50);
     c.offer(seedWithId(12), 50);
-    const std::vector<Seed> top = c.exportTop(2);
+    const std::vector<SeedShare> top = c.exportTopShared(2);
     ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0].id, 10u); // oldest first among equals
-    EXPECT_EQ(top[1].id, 11u);
+    EXPECT_EQ(top[0].seed->id, 10u); // oldest first among equals
+    EXPECT_EQ(top[1].seed->id, 11u);
 }
 
 TEST(Corpus, ImportSeedsRemapsIdsAndHonorsAdmission)
@@ -250,7 +263,7 @@ TEST(Corpus, ImportSeedsRemapsIdsAndHonorsAdmission)
 
     uint64_t next_id = 1000;
     const size_t admitted =
-        receiver.importSeeds(donor.exportTop(2), next_id);
+        receiver.importShared(donor.exportTopShared(2), next_id);
     EXPECT_EQ(admitted, 2u);
     EXPECT_EQ(next_id, 1002u);
     EXPECT_EQ(receiver.size(), 3u);
@@ -285,7 +298,8 @@ TEST(Corpus, ImportIntoFullCorpusEvictsWeakest)
     donor.offer(seedWithId(7), 500);
 
     uint64_t next_id = 50;
-    EXPECT_EQ(receiver.importSeeds(donor.exportTop(1), next_id), 1u);
+    EXPECT_EQ(receiver.importShared(donor.exportTopShared(1), next_id),
+              1u);
     // The weak local seed (increment 1) was evicted, the strong one
     // survives alongside the import.
     EXPECT_EQ(receiver.size(), 2u);
@@ -352,20 +366,67 @@ TEST(Corpus, PrioritizeUniformSplitMatchesProbability)
 
 TEST(Seed, ContentHashIgnoresSchedulingMetadata)
 {
+    // Two blocks with an odd and an even instruction count, so every
+    // lane of the word packing is exercised.
     Seed a = seedWithId(5);
+    SeedBlock cf;
+    cf.insns = {0x00000013, 0x00a00093, 0xfe000ee3};
+    cf.primeIdx = 2;
+    cf.isControlFlow = true;
+    cf.targetBlock = 0;
+    cf.position = 1;
+    a.blocks.push_back(cf);
+    const uint64_t h = a.contentHash();
+    EXPECT_EQ(h, a.contentHash()); // stable
+
+    // Scheduling metadata and genealogy do not move the hash.
     Seed b = a;
     b.id = 99;
     b.coverageIncrement = 1234;
     b.insertedAt = 42;
-    EXPECT_EQ(a.contentHash(), b.contentHash());
+    b.parentId = 7;
+    b.originOp = 3;
+    b.lineageDepth = 5;
+    b.energyAtCreation = 4;
+    EXPECT_EQ(h, b.contentHash());
 
-    // Any content field change moves the hash.
-    Seed c = a;
-    c.blocks[0].insns[0] ^= 1;
-    EXPECT_NE(a.contentHash(), c.contentHash());
-    Seed d = a;
-    d.blocks[0].targetBlock = 3;
-    EXPECT_NE(a.contentHash(), d.contentHash());
+    // Every content field moves it, in either block.
+    const std::vector<std::pair<const char *, void (*)(Seed &)>>
+        edits = {
+            {"insn value", [](Seed &s) { s.blocks[0].insns[0] ^= 1; }},
+            {"last insn value",
+             [](Seed &s) { s.blocks[1].insns[2] ^= 0x80000000u; }},
+            {"insn order",
+             [](Seed &s) {
+                 std::swap(s.blocks[1].insns[0], s.blocks[1].insns[1]);
+             }},
+            {"insn order across words",
+             [](Seed &s) {
+                 std::swap(s.blocks[1].insns[1], s.blocks[1].insns[2]);
+             }},
+            {"insn count",
+             [](Seed &s) { s.blocks[0].insns.push_back(0x13); }},
+            // Only the count tells {.., x} from {.., x, 0} apart.
+            {"trailing zero insn",
+             [](Seed &s) { s.blocks[1].insns.push_back(0); }},
+            {"primeIdx", [](Seed &s) { s.blocks[1].primeIdx = 1; }},
+            {"isControlFlow",
+             [](Seed &s) { s.blocks[1].isControlFlow = false; }},
+            {"targetBlock", [](Seed &s) { s.blocks[0].targetBlock = 3; }},
+            {"targetBlock sign",
+             [](Seed &s) { s.blocks[1].targetBlock = -1; }},
+            {"position", [](Seed &s) { s.blocks[1].position = 2; }},
+            {"position bit 31",
+             [](Seed &s) { s.blocks[1].position |= 0x80000000u; }},
+            {"block count", [](Seed &s) { s.blocks.pop_back(); }},
+            {"block order",
+             [](Seed &s) { std::swap(s.blocks[0], s.blocks[1]); }},
+        };
+    for (const auto &[what, edit] : edits) {
+        Seed c = a;
+        edit(c);
+        EXPECT_NE(h, c.contentHash()) << what;
+    }
 }
 
 TEST(Corpus, ImportDeduplicatesByContent)
@@ -380,20 +441,86 @@ TEST(Corpus, ImportDeduplicatesByContent)
 
     Corpus receiver(8, SchedulingPolicy::CoverageGuided);
     uint64_t next_id = 1000;
-    EXPECT_EQ(receiver.importSeeds(donor.exportTop(2), next_id), 2u);
+    EXPECT_EQ(receiver.importShared(donor.exportTopShared(2), next_id),
+              2u);
     EXPECT_EQ(next_id, 1002u);
-    EXPECT_EQ(receiver.importSeeds(donor.exportTop(2), next_id), 0u);
+    EXPECT_EQ(receiver.importShared(donor.exportTopShared(2), next_id),
+              0u);
     EXPECT_EQ(next_id, 1002u); // no ids burned on duplicates
     EXPECT_EQ(receiver.size(), 2u);
     EXPECT_EQ(receiver.duplicateImports(), 2u);
 
     // Duplicates inside one imported batch collapse too.
-    std::vector<Seed> batch = {seedWithId(3), seedWithId(3)};
-    for (Seed &s : batch)
-        s.coverageIncrement = 30; // pass coverage-guided admission
-    EXPECT_EQ(receiver.importSeeds(std::move(batch), next_id), 1u);
+    Seed dup = seedWithId(3);
+    dup.coverageIncrement = 30; // pass coverage-guided admission
+    EXPECT_EQ(receiver.importShared({makeSeedShare(dup),
+                                     makeSeedShare(dup)},
+                                    next_id),
+              1u);
     EXPECT_EQ(receiver.size(), 3u);
     EXPECT_EQ(receiver.duplicateImports(), 3u);
+}
+
+/** A stimulus @p tag with recorded increment @p inc, as a share. */
+SeedShare
+shareOf(uint64_t tag, uint64_t inc)
+{
+    Seed s = seedWithId(tag);
+    s.coverageIncrement = inc;
+    return makeSeedShare(std::move(s));
+}
+
+TEST(Corpus, ImportAfterEvictionSeesFreshHash)
+{
+    // The per-slot hash cache must follow the slot's seed: once X is
+    // evicted, re-importing X is new content, not a duplicate of a
+    // stale cached hash.
+    Corpus c(1, SchedulingPolicy::CoverageGuided);
+    uint64_t next_id = 1;
+    ASSERT_EQ(c.importShared({shareOf(1, 10)}, next_id), 1u); // X
+    // Y outranks X; this import hashes the resident X first, then
+    // evicts it.
+    ASSERT_EQ(c.importShared({shareOf(2, 20)}, next_id), 1u);
+    ASSERT_EQ(c.entries()[0].contentHash(),
+              seedWithId(2).contentHash());
+    EXPECT_EQ(c.importShared({shareOf(1, 30)}, next_id), 1u);
+    EXPECT_EQ(c.duplicateImports(), 0u);
+    EXPECT_EQ(c.entries()[0].contentHash(),
+              seedWithId(1).contentHash());
+    // ...while re-importing the resident is still a duplicate.
+    EXPECT_EQ(c.importShared({shareOf(1, 40)}, next_id), 0u);
+    EXPECT_EQ(c.duplicateImports(), 1u);
+}
+
+TEST(Corpus, LoadStateResetsHashCache)
+{
+    Corpus src(4, SchedulingPolicy::CoverageGuided);
+    src.offer(seedWithId(1), 10);
+    src.offer(seedWithId(2), 20);
+    soc::SnapshotWriter w;
+    src.saveState(w);
+    const auto image = w.takeBuffer();
+
+    // The target has cached hashes of other content before the load.
+    Corpus back(4, SchedulingPolicy::CoverageGuided);
+    uint64_t next_id = 100;
+    ASSERT_EQ(back.importShared({shareOf(7, 5), shareOf(8, 5),
+                                 shareOf(9, 5)},
+                                next_id),
+              3u);
+    ASSERT_EQ(back.importShared({shareOf(7, 5)}, next_id), 0u);
+
+    soc::SnapshotReader r(image);
+    std::string error;
+    ASSERT_TRUE(back.loadState(r, &error)) << error;
+    const uint64_t dups = back.duplicateImports(); // restored count
+
+    // A restored seed's content is a duplicate...
+    EXPECT_EQ(back.importShared({shareOf(2, 50)}, next_id), 0u);
+    EXPECT_EQ(back.duplicateImports(), dups + 1);
+    // ...and content resident only before the load is not.
+    EXPECT_EQ(back.importShared({shareOf(7, 50)}, next_id), 1u);
+    EXPECT_EQ(back.duplicateImports(), dups + 1);
 }
 
 TEST(Corpus, SaveLoadStateRoundTrip)
@@ -402,7 +529,7 @@ TEST(Corpus, SaveLoadStateRoundTrip)
     for (uint64_t i = 1; i <= 5; ++i)
         c.offer(seedWithId(i), i * 7);
     uint64_t next_id = 50;
-    c.importSeeds({seedWithId(40)}, next_id);
+    c.importShared({shareOf(40, 3)}, next_id);
 
     soc::SnapshotWriter w;
     c.saveState(w);

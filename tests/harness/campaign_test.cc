@@ -177,8 +177,37 @@ TEST(Campaign, InjectSeedsReachesGeneratorCorpus)
     b.insns = {0x13}; // nop
     s.blocks.push_back(b);
     s.coverageIncrement = 1 << 20; // outranks anything resident
-    EXPECT_EQ(c.injectSeeds({s}), 1u);
+    EXPECT_EQ(c.injectSharedSeeds({fuzzer::makeSeedShare(s)}), 1u);
     EXPECT_EQ(gen->underlying().corpus().size(), before + 1);
+}
+
+TEST(Campaign, ValueCopySeedAdaptersFollowSharedPath)
+{
+    // The generator's value-copy importSeeds/exportTopSeeds adapt the
+    // shared exchange path: the same dedup and the same ranking.
+    auto gen = makeGen(15);
+    fuzzer::Seed a;
+    fuzzer::SeedBlock b;
+    b.insns = {0x13};
+    a.blocks.push_back(b);
+    a.coverageIncrement = 1 << 20;
+    fuzzer::Seed z = a;
+    z.blocks[0].insns[0] = 0x93;
+    z.coverageIncrement = 1 << 21;
+    EXPECT_EQ(gen->importSeeds({a, a, z}), 2u); // batch dedup
+    EXPECT_EQ(gen->importSeeds({z}), 0u);       // resident dedup
+
+    const std::vector<fuzzer::Seed> copies = gen->exportTopSeeds(2);
+    const std::vector<fuzzer::SeedShare> shares =
+        gen->exportTopSharedSeeds(2);
+    ASSERT_EQ(copies.size(), 2u);
+    ASSERT_EQ(shares.size(), 2u);
+    for (size_t i = 0; i < copies.size(); ++i) {
+        EXPECT_EQ(copies[i].id, shares[i].seed->id);
+        EXPECT_EQ(copies[i].contentHash(), shares[i].contentHash);
+    }
+    EXPECT_EQ(copies[0].contentHash(), z.contentHash());
+    EXPECT_EQ(copies[1].contentHash(), a.contentHash());
 }
 
 TEST(Campaign, CountsMismatchedIterations)

@@ -414,7 +414,9 @@ TEST(ProvenanceCampaign, ImportedSeedsBecomeLineageRoots)
     foreign.blocks.push_back(blk);
 
     uint64_t next_id = 100;
-    ASSERT_EQ(corpus.importSeeds({foreign}, next_id), 1u);
+    ASSERT_EQ(corpus.importShared({fuzzer::makeSeedShare(foreign)},
+                                  next_id),
+              1u);
     ASSERT_EQ(corpus.size(), 1u);
     const fuzzer::Seed &in = corpus.entries()[0];
     EXPECT_EQ(in.id, 100u);
