@@ -77,14 +77,12 @@ main(int argc, char **argv)
         const fuzzer::IterationInfo info = gen.generate(mem);
 
         // Generated mix, from the iteration's instruction blocks.
-        for (const auto &b : info.blocks) {
-            for (uint32_t word : b.insns) {
-                const isa::Decoded d = isa::decode(word);
-                if (!d.valid)
-                    continue;
-                ++generated[categoryOf(*d.desc)];
-                ++gen_total;
-            }
+        for (uint32_t word : info.stimulus.words) {
+            const isa::Decoded d = isa::decode(word);
+            if (!d.valid)
+                continue;
+            ++generated[categoryOf(*d.desc)];
+            ++gen_total;
         }
 
         // Executed mix: run the iteration the way the DifuzzRTL flow

@@ -54,8 +54,12 @@ BM_BlockGeneration(benchmark::State &state)
     fuzzer::MemoryLayout layout;
     fuzzer::BlockBuilder builder(layout, &lib, fuzzer::GenProbs{});
     Rng rng(1);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(builder.buildRandomBlock(rng));
+    fuzzer::Stimulus stim;
+    for (auto _ : state) {
+        stim.clear();
+        builder.appendRandomBlock(stim, rng);
+        benchmark::DoNotOptimize(stim.words.data());
+    }
 }
 BENCHMARK(BM_BlockGeneration);
 
@@ -66,10 +70,11 @@ BM_OperandMutation(benchmark::State &state)
     fuzzer::MemoryLayout layout;
     fuzzer::BlockBuilder builder(layout, &lib, fuzzer::GenProbs{});
     Rng rng(1);
-    fuzzer::SeedBlock block = builder.buildRandomBlock(rng);
+    fuzzer::Stimulus stim;
+    builder.appendRandomBlock(stim, rng);
     for (auto _ : state) {
-        builder.mutateOperands(block, rng);
-        benchmark::DoNotOptimize(block);
+        builder.mutateOperands(stim, 0, rng);
+        benchmark::DoNotOptimize(stim.words.data());
     }
 }
 BENCHMARK(BM_OperandMutation);

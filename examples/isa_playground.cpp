@@ -42,19 +42,23 @@ main(int argc, char **argv)
     soc::Memory mem;
     uint64_t addr = layout.instrBase;
     std::printf("direct-mode instruction blocks:\n");
+    fuzzer::Stimulus stim;
     for (int b = 0; b < nblocks; ++b) {
-        const fuzzer::SeedBlock block = builder.buildRandomBlock(rng);
-        std::printf("block %d (%u instrs%s):\n", b, block.instrCount(),
+        builder.appendRandomBlock(stim, rng);
+        const fuzzer::StimulusBlock &block = stim.blocks.back();
+        std::printf("block %d (%u instrs%s):\n", b, block.count,
                     block.isControlFlow ? ", control-flow" : "");
-        for (size_t i = 0; i < block.insns.size(); ++i) {
+        const std::span<const uint32_t> words =
+            stim.blockWords(stim.blocks.size() - 1);
+        for (size_t i = 0; i < words.size(); ++i) {
             std::printf("  %08llx: %-30s%s\n",
                         static_cast<unsigned long long>(addr),
-                        isa::disassemble(block.insns[i]).c_str(),
+                        isa::disassemble(words[i]).c_str(),
                         i == block.primeIdx ? "  <- prime" : "");
-            mem.write32(addr, block.insns[i]);
             addr += 4;
         }
     }
+    mem.writeWords(layout.instrBase, stim.words);
 
     // Execute the straight-line stream on the reference ISS.
     core::Iss::Options opts;

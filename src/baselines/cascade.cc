@@ -11,7 +11,7 @@ namespace turbofuzz::baselines
 
 using fuzzer::IterationInfo;
 using fuzzer::MemoryLayout;
-using fuzzer::SeedBlock;
+using fuzzer::Stimulus;
 using isa::Opcode;
 using isa::Operands;
 
@@ -84,27 +84,30 @@ CascadeGenerator::generate(soc::Memory &mem)
         preamble.push_back(isa::encode(Opcode::Addi, lo));
     }
 
-    // Build non-control-flow bodies: blocks of straight-line work.
-    std::vector<SeedBlock> blocks;
-    uint32_t emitted = 0;
-    while (emitted + 2 < targetInstrs) {
-        SeedBlock b = builder.buildRandomBlock(rng);
-        if (b.isControlFlow)
-            continue; // control flow is added as explicit chaining
-        emitted += b.instrCount() + 1; // +1 for the chaining jump
-        blocks.push_back(std::move(b));
+    // Build non-control-flow bodies: blocks of straight-line work,
+    // each ending in a slot for its chaining jump (patched below).
+    Stimulus &stim = info.stimulus;
+    while (stim.totalInstrs() + 2 < targetInstrs) {
+        builder.appendRandomBlock(stim, rng);
+        if (stim.blocks.back().isControlFlow) {
+            // Control flow is added as explicit chaining.
+            stim.truncate(stim.blocks.size() - 1);
+            continue;
+        }
+        stim.pushWord(0);
     }
+    const size_t nblocks = stim.blocks.size();
 
     // Shuffle memory order; logical order remains 0..N-1 via an
     // explicit permutation chain (intricate layout, guaranteed
     // termination — every block executes exactly once).
-    std::vector<uint32_t> mem_order(blocks.size());
+    std::vector<uint32_t> mem_order(nblocks);
     std::iota(mem_order.begin(), mem_order.end(), 0);
     for (size_t i = mem_order.size(); i > 1; --i)
         std::swap(mem_order[i - 1], mem_order[rng.range(i)]);
 
-    // Lay out blocks in shuffled memory order; each block gets one
-    // extra jal slot for the chain to its logical successor. After
+    // Lay out blocks in shuffled memory order (so unlike TurboFuzz
+    // stimuli, block i does not sit at its flat word offset). After
     // the last block comes the teardown routine (register dump),
     // excluded from the fuzzing region. One extra preamble slot is
     // reserved for the entry jump into logical block 0 (which may
@@ -113,10 +116,10 @@ CascadeGenerator::generate(soc::Memory &mem)
     preamble.push_back(0); // patched below
     uint64_t addr = memLayout.instrBase + 4ull * preamble.size();
     info.firstBlockPc = addr;
-    std::vector<uint64_t> base_of(blocks.size());
+    std::vector<uint64_t> base_of(nblocks);
     for (uint32_t bi : mem_order) {
         base_of[bi] = addr;
-        addr += 4ull * (blocks[bi].instrCount() + 1);
+        addr += 4ull * stim.blocks[bi].count;
     }
     info.fuzzRegionEnd = addr;
 
@@ -143,12 +146,11 @@ CascadeGenerator::generate(soc::Memory &mem)
 
     // Chain jumps: logical block i ends with jal x0 -> block i+1;
     // the last block jumps into the teardown routine.
-    for (size_t i = 0; i < blocks.size(); ++i) {
-        const uint64_t jump_addr =
-            base_of[i] + 4ull * blocks[i].instrCount();
-        const uint64_t target = (i + 1 < blocks.size())
-                                    ? base_of[i + 1]
-                                    : teardown_base;
+    for (size_t i = 0; i < nblocks; ++i) {
+        fuzzer::StimulusBlock &b = stim.blocks[i];
+        const uint64_t jump_addr = base_of[i] + 4ull * (b.count - 1);
+        const uint64_t target =
+            (i + 1 < nblocks) ? base_of[i + 1] : teardown_base;
         const int64_t delta = static_cast<int64_t>(target) -
                               static_cast<int64_t>(jump_addr);
         TF_ASSERT(delta >= -(1 << 20) && delta < (1 << 20),
@@ -156,15 +158,14 @@ CascadeGenerator::generate(soc::Memory &mem)
         Operands j;
         j.rd = 0;
         j.imm = delta;
-        blocks[i].insns.push_back(isa::encode(Opcode::Jal, j));
-        blocks[i].isControlFlow = true;
-        blocks[i].targetBlock =
-            (i + 1 < blocks.size()) ? static_cast<int32_t>(i + 1) : -1;
-        blocks[i].position = static_cast<uint32_t>(i);
+        stim.words[b.offset + b.count - 1] = isa::encode(Opcode::Jal, j);
+        b.isControlFlow = true;
+        b.targetBlock = (i + 1 < nblocks) ? static_cast<int32_t>(i + 1) : -1;
+        b.position = static_cast<uint32_t>(i);
     }
 
     // Patch the entry jump to logical block 0.
-    if (!blocks.empty()) {
+    if (nblocks > 0) {
         const uint64_t jump_pc =
             memLayout.instrBase + 4ull * entry_jump_idx;
         Operands j;
@@ -175,25 +176,11 @@ CascadeGenerator::generate(soc::Memory &mem)
     }
 
     // Commit to memory.
-    uint64_t p = memLayout.instrBase;
-    for (uint32_t insn : preamble) {
-        mem.write32(p, insn);
-        p += 4;
-    }
-    uint64_t t = teardown_base;
-    for (uint32_t insn : teardown) {
-        mem.write32(t, insn);
-        t += 4;
-    }
-    for (size_t i = 0; i < blocks.size(); ++i) {
-        uint64_t a = base_of[i];
-        for (uint32_t insn : blocks[i].insns) {
-            mem.write32(a, insn);
-            a += 4;
-        }
-        info.generatedInstrs += blocks[i].instrCount();
-    }
-    info.blocks = std::move(blocks);
+    mem.writeWords(memLayout.instrBase, preamble);
+    mem.writeWords(teardown_base, teardown);
+    for (size_t i = 0; i < nblocks; ++i)
+        mem.writeWords(base_of[i], stim.blockWords(i));
+    info.generatedInstrs = stim.totalInstrs();
     return info;
 }
 

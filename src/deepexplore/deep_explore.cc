@@ -11,7 +11,6 @@ namespace turbofuzz::deepexplore
 
 using fuzzer::IterationInfo;
 using fuzzer::MemoryLayout;
-using fuzzer::SeedBlock;
 using isa::Opcode;
 using isa::Operands;
 
@@ -224,35 +223,32 @@ DeepExploreGenerator::enterStage2()
         const Program &prog = progs[job.programIdx];
         prog.load(scratch);
 
+        // A block ends at each control-flow word (its prime) or at
+        // the end of the window (prime: the last word).
         fuzzer::Seed seed;
-        SeedBlock block;
+        fuzzer::Stimulus &stim = seed.stimulus;
+        bool open = false;
         uint64_t pc = job.startPc;
         uint32_t taken = 0;
         while (taken < opts.seedWindow && pc < prog.end()) {
             const uint32_t word = scratch.read32(pc);
             const isa::Decoded d = isa::decode(word);
-            block.insns.push_back(word);
+            if (!open) {
+                const auto position =
+                    static_cast<uint32_t>(stim.blocks.size());
+                stim.beginBlock().position = position;
+                open = true;
+            }
+            stim.pushWord(word);
+            stim.blocks.back().primeIdx = stim.blocks.back().count - 1;
             ++taken;
             pc += 4;
             if (d.valid && d.desc->isControlFlow()) {
-                block.primeIdx =
-                    static_cast<uint32_t>(block.insns.size() - 1);
-                block.isControlFlow = true;
-                block.targetBlock = -1;
-                block.position =
-                    static_cast<uint32_t>(seed.blocks.size());
-                seed.blocks.push_back(std::move(block));
-                block = SeedBlock{};
+                stim.blocks.back().isControlFlow = true;
+                open = false;
             }
         }
-        if (!block.insns.empty()) {
-            block.primeIdx =
-                static_cast<uint32_t>(block.insns.size() - 1);
-            block.position =
-                static_cast<uint32_t>(seed.blocks.size());
-            seed.blocks.push_back(std::move(block));
-        }
-        if (!seed.blocks.empty()) {
+        if (!stim.blocks.empty()) {
             inner.underlying().addSeed(std::move(seed));
             ++seeded;
         }

@@ -109,10 +109,11 @@ BlockBuilder::randomOperands(Opcode op, Rng &rng) const
     return o;
 }
 
-SeedBlock
-BlockBuilder::buildRandomBlock(Rng &rng)
+void
+BlockBuilder::appendRandomBlock(Stimulus &out, Rng &rng)
 {
-    SeedBlock block;
+    const size_t bi = out.blocks.size();
+    out.beginBlock();
     Opcode prime;
     if (rng.chance(genProbs.controlFlowShare.num,
                    genProbs.controlFlowShare.den)) {
@@ -145,7 +146,7 @@ BlockBuilder::buildRandomBlock(Rng &rng)
     };
     for (unsigned i = 0; i < filler; ++i) {
         const Opcode fop = fillerOps[rng.range(fillerOps.size())];
-        block.insns.push_back(isa::encode(fop, randomOperands(fop, rng)));
+        out.pushWord(isa::encode(fop, randomOperands(fop, rng)));
     }
 
     Operands o = randomOperands(prime, rng);
@@ -166,18 +167,18 @@ BlockBuilder::buildRandomBlock(Rng &rng)
             Operands hi;
             hi.rd = MemoryLayout::regScratch;
             hi.imm = static_cast<int64_t>(memLayout.dataBase >> 12);
-            block.insns.push_back(isa::encode(Opcode::Lui, hi));
+            out.pushWord(isa::encode(Opcode::Lui, hi));
             addr.rs1 = MemoryLayout::regScratch;
             addr.imm = static_cast<int64_t>(
                 rng.range(memLayout.dataSize < 2048
                               ? memLayout.dataSize
                               : 2048));
-            block.insns.push_back(isa::encode(Opcode::Addi, addr));
+            out.pushWord(isa::encode(Opcode::Addi, addr));
         } else {
             // Instruction-region read: auipc x30, 0 (+ small offset).
             addr.rs1 = 0;
             addr.imm = 0;
-            block.insns.push_back(isa::encode(Opcode::Auipc, addr));
+            out.pushWord(isa::encode(Opcode::Auipc, addr));
         }
 
         if (d.has(isa::FlagAtomic)) {
@@ -186,7 +187,7 @@ BlockBuilder::buildRandomBlock(Rng &rng)
             align.rd = MemoryLayout::regScratch;
             align.rs1 = MemoryLayout::regScratch;
             align.imm = d.has(isa::FlagWordOp) ? -4 : -8;
-            block.insns.push_back(isa::encode(Opcode::Andi, align));
+            out.pushWord(isa::encode(Opcode::Andi, align));
             o.imm = 0;
         } else {
             // Keep the prime's own displacement small so the access
@@ -202,34 +203,35 @@ BlockBuilder::buildRandomBlock(Rng &rng)
         Operands hi;
         hi.rd = MemoryLayout::regScratch;
         hi.imm = 0;
-        block.insns.push_back(isa::encode(Opcode::Auipc, hi));
+        out.pushWord(isa::encode(Opcode::Auipc, hi));
         Operands lo;
         lo.rd = MemoryLayout::regScratch;
         lo.rs1 = MemoryLayout::regScratch;
         lo.imm = 0;
-        block.insns.push_back(isa::encode(Opcode::Addi, lo));
+        out.pushWord(isa::encode(Opcode::Addi, lo));
         o.rs1 = MemoryLayout::regScratch;
         o.imm = 0;
     }
 
-    block.primeIdx = static_cast<uint32_t>(block.insns.size());
-    block.insns.push_back(isa::encode(prime, o));
+    const uint32_t word = isa::encode(prime, o);
+    StimulusBlock &block = out.blocks[bi];
+    block.primeIdx = block.count;
     block.isControlFlow = d.isControlFlow();
-    block.targetBlock = -1;
+    out.pushWord(word);
 
     // Architectural validation before the block can be committed.
-    const isa::Decoded check =
-        isa::decode(block.insns[block.primeIdx]);
+    const isa::Decoded check = isa::decode(word);
     TF_ASSERT(check.valid && check.op == prime,
               "generated prime failed validation");
-    return block;
 }
 
 void
-BlockBuilder::mutateOperands(SeedBlock &block, Rng &rng) const
+BlockBuilder::mutateOperands(Stimulus &stimulus, size_t block,
+                             Rng &rng) const
 {
-    TF_ASSERT(block.primeIdx < block.insns.size(), "corrupt block");
-    uint32_t &word = block.insns[block.primeIdx];
+    const StimulusBlock &b = stimulus.blocks[block];
+    TF_ASSERT(b.primeIdx < b.count, "corrupt block");
+    uint32_t &word = stimulus.primeWord(block);
     const isa::Decoded d = isa::decode(word);
     if (!d.valid)
         return;
@@ -268,17 +270,24 @@ BlockBuilder::mutateOperands(SeedBlock &block, Rng &rng) const
 }
 
 int64_t
-patchBlockTarget(SeedBlock &b, int64_t block_idx, int64_t target,
-                 std::span<const uint64_t> block_addrs)
+patchBlockTarget(Stimulus &stimulus, int64_t block_idx, int64_t target,
+                 uint64_t first_block_pc)
 {
     const int64_t i = block_idx;
-    uint32_t &word = b.insns[b.primeIdx];
+    StimulusBlock &b = stimulus.blocks[i];
+    uint32_t *words = stimulus.words.data() + b.offset;
+    uint32_t &word = words[b.primeIdx];
     const isa::Decoded dec = isa::decode(word);
     TF_ASSERT(dec.valid, "control-flow prime no longer decodes");
 
+    // Blocks are contiguous, so each block's address follows from its
+    // word offset.
+    auto block_addr = [&](int64_t k) {
+        return first_block_pc + 4ull * stimulus.blocks[k].offset;
+    };
     b.targetBlock = static_cast<int32_t>(target);
-    const uint64_t prime_addr = block_addrs[i] + 4ull * b.primeIdx;
-    int64_t delta = static_cast<int64_t>(block_addrs[target]) -
+    const uint64_t prime_addr = block_addr(i) + 4ull * b.primeIdx;
+    int64_t delta = static_cast<int64_t>(block_addr(target)) -
                     static_cast<int64_t>(prime_addr);
 
     isa::Operands o = dec.ops;
@@ -287,7 +296,7 @@ patchBlockTarget(SeedBlock &b, int64_t block_idx, int64_t target,
         // nearest representable block in the chosen direction.
         while ((delta < -4096 || delta > 4094) && target != i) {
             target += (target > i) ? -1 : 1;
-            delta = static_cast<int64_t>(block_addrs[target]) -
+            delta = static_cast<int64_t>(block_addr(target)) -
                     static_cast<int64_t>(prime_addr);
         }
         b.targetBlock = static_cast<int32_t>(target);
@@ -310,24 +319,20 @@ patchBlockTarget(SeedBlock &b, int64_t block_idx, int64_t target,
             word = isa::encode(isa::Opcode::Jal, j);
     } else {
         // jalr: patch the staged auipc/addi pair.
-        const uint64_t auipc_addr =
-            block_addrs[i] + 4ull * (b.primeIdx - 2);
-        const int64_t pcrel =
-            static_cast<int64_t>(block_addrs[target]) -
-            static_cast<int64_t>(auipc_addr);
+        const uint64_t auipc_addr = block_addr(i) + 4ull * (b.primeIdx - 2);
+        const int64_t pcrel = static_cast<int64_t>(block_addr(target)) -
+                              static_cast<int64_t>(auipc_addr);
         int64_t hi, lo;
         pcrelHiLo(pcrel, hi, lo);
         isa::Operands hi_ops;
         hi_ops.rd = MemoryLayout::regScratch;
         hi_ops.imm = hi & 0xFFFFF;
-        b.insns[b.primeIdx - 2] =
-            isa::encode(isa::Opcode::Auipc, hi_ops);
+        words[b.primeIdx - 2] = isa::encode(isa::Opcode::Auipc, hi_ops);
         isa::Operands lo_ops;
         lo_ops.rd = MemoryLayout::regScratch;
         lo_ops.rs1 = MemoryLayout::regScratch;
         lo_ops.imm = lo;
-        b.insns[b.primeIdx - 1] =
-            isa::encode(isa::Opcode::Addi, lo_ops);
+        words[b.primeIdx - 1] = isa::encode(isa::Opcode::Addi, lo_ops);
     }
     return target;
 }

@@ -18,7 +18,6 @@
 #define TURBOFUZZ_FUZZER_BLOCK_BUILDER_HH
 
 #include <cstdint>
-#include <span>
 
 #include "common/config.hh"
 #include "common/lfsr.hh"
@@ -69,18 +68,20 @@ class BlockBuilder
                  const isa::InstructionLibrary *library, GenProbs probs);
 
     /**
-     * Direct-mode generation: build one block around an LFSR-selected
-     * prime. Control-flow immediates are left as placeholders; the
-     * emitter's fix-up pass assigns targets from the global address
-     * table.
+     * Direct-mode generation: append one block built around an
+     * LFSR-selected prime to @p out. Control-flow immediates are left
+     * as placeholders; the emitter's fix-up pass assigns targets once
+     * block addresses are known.
      */
-    SeedBlock buildRandomBlock(Rng &rng);
+    void appendRandomBlock(Stimulus &out, Rng &rng);
 
     /**
      * Mutation-mode operand work: substitute operands / flip operand
-     * field bits of the block's prime instruction.
+     * field bits of the prime instruction of @p stimulus's block
+     * @p block.
      */
-    void mutateOperands(SeedBlock &block, Rng &rng) const;
+    void mutateOperands(Stimulus &stimulus, size_t block,
+                        Rng &rng) const;
 
     const MemoryLayout &layout() const { return memLayout; }
 
@@ -106,18 +107,17 @@ bool isControlFlowInsn(uint32_t insn);
 void pcrelHiLo(int64_t delta, int64_t &hi20, int64_t &lo12);
 
 /**
- * Patch the control-flow prime of @p block (at index @p block_idx in
- * the layout @p block_addrs) to jump to block @p target: encode the
- * B/J immediate, or re-stage the jalr auipc/addi address pair.
+ * Patch the control-flow prime of @p stimulus's block @p block_idx,
+ * laid out from @p first_block_pc, to jump to block @p target: encode
+ * the B/J immediate, or re-stage the jalr auipc/addi address pair.
  * Branch targets beyond the ±4 KiB B-format range are clamped toward
  * the source block. Deterministic — the shared core of the fuzzer's
  * fix-up pass and the triage minimizer's re-layout; only target
  * *selection* differs between the two.
  * @return the (possibly clamped) final target index.
  */
-int64_t patchBlockTarget(SeedBlock &block, int64_t block_idx,
-                         int64_t target,
-                         std::span<const uint64_t> block_addrs);
+int64_t patchBlockTarget(Stimulus &stimulus, int64_t block_idx,
+                         int64_t target, uint64_t first_block_pc);
 
 } // namespace turbofuzz::fuzzer
 

@@ -267,7 +267,7 @@ Corpus::saveState(soc::SnapshotWriter &out) const
         out.putU8(s.originOp);
         out.putU32(s.lineageDepth);
         out.putU64(s.energyAtCreation);
-        writeSeedBlocks(out, s.blocks);
+        writeSeedBlocks(out, s.stimulus);
     }
 }
 
@@ -305,7 +305,7 @@ Corpus::loadState(soc::SnapshotReader &in, std::string *error)
         s.originOp = in.getU8();
         s.lineageDepth = in.getU32();
         s.energyAtCreation = in.getU64();
-        if (!readSeedBlocks(in, s.blocks, error))
+        if (!readSeedBlocks(in, s.stimulus, error))
             return false;
         if (idIndex.count(s.id))
             return fail("duplicate seed id in corpus image");

@@ -11,9 +11,13 @@ namespace turbofuzz::fuzzer
 namespace
 {
 
-/** Smallest possible serialized block: ninsns + primeIdx + flag +
- *  targetBlock + position with an empty instruction array. */
-constexpr size_t minBlockBytes = 4 + 4 + 1 + 4 + 4;
+/** Serialized block fields after the words: primeIdx + flag +
+ *  targetBlock + position. */
+constexpr size_t blockFieldBytes = 4 + 1 + 4 + 4;
+
+/** Smallest serialized block shape: ninsns and the fields around an
+ *  empty word array (which the parser then rejects by name). */
+constexpr size_t minBlockBytes = 4 + blockFieldBytes;
 
 std::string
 formatError(const char *what, unsigned long long have,
@@ -28,14 +32,53 @@ formatError(const char *what, unsigned long long have,
 } // namespace
 
 void
-writeSeedBlocks(soc::SnapshotWriter &w,
-                const std::vector<SeedBlock> &blocks)
+Stimulus::appendBlocks(const Stimulus &from, size_t first, size_t n)
 {
-    w.putU32(static_cast<uint32_t>(blocks.size()));
-    for (const SeedBlock &b : blocks) {
-        w.putU32(static_cast<uint32_t>(b.insns.size()));
-        for (uint32_t insn : b.insns)
-            w.putU32(insn);
+    TF_ASSERT(&from != this, "appending blocks of the same stimulus");
+    if (n == 0)
+        return;
+    const uint32_t base = totalInstrs();
+    const uint32_t begin = from.blocks[first].offset;
+    const StimulusBlock &last = from.blocks[first + n - 1];
+    words.insert(words.end(), from.words.begin() + begin,
+                 from.words.begin() + last.offset + last.count);
+    for (size_t k = first; k < first + n; ++k) {
+        StimulusBlock &b = blocks.emplace_back(from.blocks[k]);
+        b.offset = base + (b.offset - begin);
+    }
+}
+
+void
+Stimulus::truncate(size_t n)
+{
+    if (n >= blocks.size())
+        return;
+    words.resize(blocks[n].offset);
+    blocks.resize(n);
+}
+
+void
+Stimulus::eraseWord(size_t i, uint32_t j)
+{
+    StimulusBlock &b = blocks[i];
+    TF_ASSERT(j < b.count && j != b.primeIdx,
+              "erasing a missing or prime word");
+    words.erase(words.begin() + b.offset + j);
+    --b.count;
+    if (j < b.primeIdx)
+        --b.primeIdx;
+    for (size_t k = i + 1; k < blocks.size(); ++k)
+        --blocks[k].offset;
+}
+
+void
+writeSeedBlocks(soc::SnapshotWriter &w, const Stimulus &stimulus)
+{
+    w.putU32(static_cast<uint32_t>(stimulus.blocks.size()));
+    for (size_t i = 0; i < stimulus.blocks.size(); ++i) {
+        const StimulusBlock &b = stimulus.blocks[i];
+        w.putU32(b.count);
+        w.putU32Array(stimulus.blockWords(i));
         w.putU32(b.primeIdx);
         w.putU8(b.isControlFlow ? 1 : 0);
         w.putU32(static_cast<uint32_t>(b.targetBlock));
@@ -44,7 +87,7 @@ writeSeedBlocks(soc::SnapshotWriter &w,
 }
 
 bool
-readSeedBlocks(soc::SnapshotReader &r, std::vector<SeedBlock> &blocks,
+readSeedBlocks(soc::SnapshotReader &r, Stimulus &stimulus,
                std::string *error)
 {
     auto fail = [&](std::string msg) {
@@ -65,31 +108,32 @@ readSeedBlocks(soc::SnapshotReader &r, std::vector<SeedBlock> &blocks,
                                 r.remaining(),
                                 static_cast<unsigned long long>(
                                     nblocks) * minBlockBytes));
-    blocks.clear();
-    blocks.resize(nblocks);
-    for (SeedBlock &b : blocks) {
+    stimulus.clear();
+    stimulus.blocks.resize(nblocks);
+    for (StimulusBlock &b : stimulus.blocks) {
         if (r.remaining() < minBlockBytes)
             return fail(formatError("truncated block header",
                                     r.remaining(), minBlockBytes));
         const uint32_t ninsns = r.getU32();
-        if (ninsns > (r.remaining() - (minBlockBytes - 4)) / 4)
+        if (ninsns > (r.remaining() - blockFieldBytes) / 4)
             return fail(formatError(
                 "instruction count exceeds buffer", r.remaining(),
                 static_cast<unsigned long long>(ninsns) * 4 +
-                    (minBlockBytes - 4)));
-        b.insns.resize(ninsns);
-        for (uint32_t &insn : b.insns)
-            insn = r.getU32();
+                    blockFieldBytes));
+        // Every consumer indexes the block's prime word, and no
+        // generator emits an empty block.
+        if (ninsns == 0)
+            return fail("block without instructions");
+        b.offset = stimulus.totalInstrs();
+        b.count = ninsns;
+        stimulus.words.resize(b.offset + ninsns);
+        r.getU32Array({stimulus.words.data() + b.offset, ninsns});
         b.primeIdx = r.getU32();
         b.isControlFlow = r.getU8() != 0;
         b.targetBlock = static_cast<int32_t>(r.getU32());
         b.position = r.getU32();
-        if (!b.insns.empty() && b.primeIdx >= b.insns.size())
+        if (b.primeIdx >= ninsns)
             return fail("prime index out of range");
-        // A control-flow block must have a prime word to patch —
-        // consumers index insns[primeIdx] unconditionally.
-        if (b.isControlFlow && b.insns.empty())
-            return fail("control-flow block without instructions");
     }
     return true;
 }
@@ -110,10 +154,10 @@ Seed::contentHash() const
         h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
         h ^= h >> 31;
     };
-    mix(blocks.size());
-    for (const SeedBlock &b : blocks) {
-        const size_t n = b.insns.size();
-        const uint32_t *w = b.insns.data();
+    mix(stimulus.blocks.size());
+    for (const StimulusBlock &b : stimulus.blocks) {
+        const size_t n = b.count;
+        const uint32_t *w = stimulus.words.data() + b.offset;
         const uint64_t target = static_cast<uint32_t>(b.targetBlock);
         mix(static_cast<uint64_t>(n) |
             static_cast<uint64_t>(b.isControlFlow) << 63);
@@ -146,7 +190,7 @@ Seed::serialize() const
     w.putU8(originOp);
     w.putU32(lineageDepth);
     w.putU64(energyAtCreation);
-    writeSeedBlocks(w, blocks);
+    writeSeedBlocks(w, stimulus);
     return w.takeBuffer();
 }
 
@@ -169,7 +213,7 @@ Seed::tryDeserialize(const std::vector<uint8_t> &bytes,
     s.originOp = r.getU8();
     s.lineageDepth = r.getU32();
     s.energyAtCreation = r.getU64();
-    if (!readSeedBlocks(r, s.blocks, error))
+    if (!readSeedBlocks(r, s.stimulus, error))
         return std::nullopt;
     if (!r.exhausted()) {
         if (error)

@@ -19,11 +19,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
-
-#include "common/small_vec.hh"
 
 namespace turbofuzz::soc
 {
@@ -47,18 +46,16 @@ class SeedFormatError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** One instruction block inside a seed or generated iteration. */
-struct SeedBlock
+/** One instruction block's record inside a Stimulus. */
+struct StimulusBlock
 {
-    /**
-     * Prime + affiliated instruction words, in program order.
-     * Inline capacity 8 covers every block the builder emits
-     * (≤3 filler + ≤3 affiliated + prime), so steady-state block
-     * construction, copying and retention never touch the heap.
-     */
-    SmallVec<uint32_t, 8> insns;
+    /** First word of the block within Stimulus::words. */
+    uint32_t offset = 0;
 
-    /** Index of the prime instruction within insns. */
+    /** Prime + affiliated instruction words in the block. */
+    uint32_t count = 0;
+
+    /** Index of the prime instruction, relative to offset. */
     uint32_t primeIdx = 0;
 
     /** Whether the prime is a branch/jump. */
@@ -73,17 +70,89 @@ struct SeedBlock
     /** Position of this block within its original iteration. */
     uint32_t position = 0;
 
-    uint32_t instrCount() const
+    bool operator==(const StimulusBlock &) const = default;
+};
+
+/**
+ * An iteration's instruction blocks as one flat image: every block's
+ * words in program order, plus one record per block. Blocks are
+ * contiguous — block i+1 starts where block i ends — so laid out from
+ * an iteration's firstBlockPc, block i starts at
+ * firstBlockPc + 4 * blocks[i].offset and the whole stimulus is one
+ * memory range. Copies, subsets and the wire format all work on the
+ * two arrays, never block by block on the heap.
+ */
+struct Stimulus
+{
+    std::vector<uint32_t> words;
+    std::vector<StimulusBlock> blocks;
+
+    uint32_t
+    totalInstrs() const
     {
-        return static_cast<uint32_t>(insns.size());
+        return static_cast<uint32_t>(words.size());
     }
+
+    std::span<const uint32_t>
+    blockWords(size_t i) const
+    {
+        return {words.data() + blocks[i].offset, blocks[i].count};
+    }
+
+    uint32_t &
+    primeWord(size_t i)
+    {
+        return words[blocks[i].offset + blocks[i].primeIdx];
+    }
+
+    uint32_t
+    primeWord(size_t i) const
+    {
+        return words[blocks[i].offset + blocks[i].primeIdx];
+    }
+
+    /** Open an empty block at the end; pushWord() fills it. */
+    StimulusBlock &
+    beginBlock()
+    {
+        StimulusBlock &b = blocks.emplace_back();
+        b.offset = totalInstrs();
+        return b;
+    }
+
+    /** Append a word to the last block. */
+    void
+    pushWord(uint32_t word)
+    {
+        words.push_back(word);
+        ++blocks.back().count;
+    }
+
+    /** Append copies of blocks [first, first + n) of another
+     *  stimulus @p from: one word-range copy plus their records. */
+    void appendBlocks(const Stimulus &from, size_t first, size_t n);
+
+    /** Keep only the first @p n blocks. */
+    void truncate(size_t n);
+
+    /** Remove word @p j of block @p i; later blocks move down. */
+    void eraseWord(size_t i, uint32_t j);
+
+    void
+    clear()
+    {
+        words.clear();
+        blocks.clear();
+    }
+
+    bool operator==(const Stimulus &) const = default;
 };
 
 /** An archived stimulus with scheduling metadata. */
 struct Seed
 {
     uint64_t id = 0;
-    std::vector<SeedBlock> blocks;
+    Stimulus stimulus;
 
     /**
      * Coverage improvement recorded when this seed last ran
@@ -118,14 +187,7 @@ struct Seed
     /** Scheduler energy granted when this seed was archived. */
     uint64_t energyAtCreation = 0;
 
-    uint32_t
-    totalInstrs() const
-    {
-        uint32_t n = 0;
-        for (const auto &b : blocks)
-            n += b.instrCount();
-        return n;
-    }
+    uint32_t totalInstrs() const { return stimulus.totalInstrs(); }
 
     /**
      * Stable 64-bit hash of the stimulus content (the blocks and
@@ -178,17 +240,16 @@ struct SeedShare
 /** Publish a standalone seed as a SeedShare (hashes it once). */
 SeedShare makeSeedShare(Seed seed);
 
-/** Append the block array in the Seed wire format. */
-void writeSeedBlocks(soc::SnapshotWriter &w,
-                     const std::vector<SeedBlock> &blocks);
+/** Append @p stimulus's block array in the Seed wire format. */
+void writeSeedBlocks(soc::SnapshotWriter &w, const Stimulus &stimulus);
 
 /**
  * Parse a block array written by writeSeedBlocks(), with full bounds
- * validation. @return false (with @p error set when non-null) on
- * malformed input.
+ * validation. Blocks without instructions are rejected: no generator
+ * emits one, and every consumer indexes a block's prime word.
+ * @return false (with @p error set when non-null) on malformed input.
  */
-bool readSeedBlocks(soc::SnapshotReader &r,
-                    std::vector<SeedBlock> &blocks,
+bool readSeedBlocks(soc::SnapshotReader &r, Stimulus &stimulus,
                     std::string *error = nullptr);
 
 } // namespace turbofuzz::fuzzer

@@ -28,11 +28,12 @@ TurboFuzzer::TurboFuzzer(FuzzerOptions options,
               "iteration size too small");
 }
 
-std::vector<SeedBlock>
+void
 TurboFuzzer::chooseBlocks(IterationInfo &info)
 {
-    std::vector<SeedBlock> blocks;
-    blocks.reserve(lastBlockCount + lastBlockCount / 8 + 8);
+    Stimulus &stim = info.stimulus;
+    stim.blocks.reserve(lastBlockCount + lastBlockCount / 8 + 8);
+    stim.words.reserve(opts.instrsPerIteration + 16);
     info.parentSeedId = 0;
 
     // Seed selection with per-seed energy: a seed with residual
@@ -56,14 +57,14 @@ TurboFuzzer::chooseBlocks(IterationInfo &info)
             --stickyEnergy;
     }
     const Seed *seed = nullptr;
-    if (selected && !selected->blocks.empty()) {
+    if (selected && !selected->stimulus.blocks.empty()) {
         seed = selected;
         info.parentSeedId = selected->id;
     }
 
-    uint64_t emitted = 0;
+    const size_t seed_blocks = seed ? seed->stimulus.blocks.size() : 0;
     size_t cursor = 0;
-    while (emitted < opts.instrsPerIteration) {
+    while (stim.totalInstrs() < opts.instrsPerIteration) {
         const bool mutate =
             seed != nullptr &&
             rng.chance(opts.mutationMode.num, opts.mutationMode.den);
@@ -72,47 +73,44 @@ TurboFuzzer::chooseBlocks(IterationInfo &info)
               case MutOp::Generate:
                 // Generation: insert a fresh random block here.
                 ++info.opGenerate;
-                blocks.push_back(builder.buildRandomBlock(rng));
+                builder.appendRandomBlock(stim, rng);
                 break;
               case MutOp::Delete:
                 // Deletion: skip the seed block (elimination flag).
                 ++info.opDelete;
-                cursor = (cursor + 1) % seed->blocks.size();
+                cursor = (cursor + 1) % seed_blocks;
                 continue;
               case MutOp::Retain: {
                 ++info.opRetain;
                 // Retention: keep the block, optionally mutating the
                 // prime's operands; original jump target preserved
                 // for the fix-up pass to validate.
-                SeedBlock kept = seed->blocks[cursor];
-                cursor = (cursor + 1) % seed->blocks.size();
+                stim.appendBlocks(seed->stimulus, cursor, 1);
+                cursor = (cursor + 1) % seed_blocks;
                 if (rng.chance(opts.retainMutate.num,
                                opts.retainMutate.den)) {
-                    builder.mutateOperands(kept, rng);
+                    builder.mutateOperands(stim, stim.blocks.size() - 1,
+                                           rng);
                 }
-                blocks.push_back(std::move(kept));
                 break;
               }
             }
         } else {
-            blocks.push_back(builder.buildRandomBlock(rng));
+            builder.appendRandomBlock(stim, rng);
             if (seed)
-                cursor = (cursor + 1) % seed->blocks.size();
+                cursor = (cursor + 1) % seed_blocks;
         }
-        blocks.back().position =
-            static_cast<uint32_t>(blocks.size() - 1);
-        emitted += blocks.back().instrCount();
+        stim.blocks.back().position =
+            static_cast<uint32_t>(stim.blocks.size() - 1);
     }
-    return blocks;
 }
 
 void
-TurboFuzzer::fixupControlFlow(std::vector<SeedBlock> &blocks,
-                              std::span<const uint64_t> block_addrs)
+TurboFuzzer::fixupControlFlow(Stimulus &stim, uint64_t first_block_pc)
 {
-    const auto nblocks = static_cast<int64_t>(blocks.size());
+    const auto nblocks = static_cast<int64_t>(stim.blocks.size());
     for (int64_t i = 0; i < nblocks; ++i) {
-        SeedBlock &b = blocks[i];
+        const StimulusBlock &b = stim.blocks[i];
         if (!b.isControlFlow)
             continue;
 
@@ -153,7 +151,7 @@ TurboFuzzer::fixupControlFlow(std::vector<SeedBlock> &blocks,
                          static_cast<int64_t>(rng.range(
                              static_cast<uint64_t>(nblocks - 1 - i)));
         }
-        patchBlockTarget(b, i, target, block_addrs);
+        patchBlockTarget(stim, i, target, first_block_pc);
     }
 }
 
@@ -287,20 +285,12 @@ TurboFuzzer::materializeIteration(const ReplayEnv &env,
     ExceptionTemplates::install(mem, env.layout);
     fillDataSegment(env, info.iterationIndex, mem);
 
-    uint64_t addr = env.layout.instrBase;
-    for (uint32_t insn : preamble) {
-        mem.write32(addr, insn);
-        addr += 4;
-    }
-    TF_ASSERT(addr == info.firstBlockPc,
+    TF_ASSERT(env.layout.instrBase + 4ull * preamble.size() ==
+                  info.firstBlockPc,
               "preamble does not match the iteration's layout");
-    for (const SeedBlock &b : info.blocks) {
-        for (uint32_t insn : b.insns) {
-            mem.write32(addr, insn);
-            addr += 4;
-        }
-    }
-    return addr;
+    mem.writeWords(env.layout.instrBase, preamble);
+    mem.writeWords(info.firstBlockPc, info.stimulus.words);
+    return info.firstBlockPc + 4ull * info.stimulus.totalInstrs();
 }
 
 IterationInfo
@@ -309,7 +299,6 @@ TurboFuzzer::generateIteration(soc::Memory &mem)
     const MemoryLayout &lay = opts.layout;
     const ReplayEnv env = replayEnv();
     ctx.beginIteration();
-    iterArena.reset();
 
     IterationInfo info;
     info.iterationIndex = iterCounter++;
@@ -327,29 +316,25 @@ TurboFuzzer::generateIteration(soc::Memory &mem)
     info.firstBlockPc = addr;
 
     // 2. Choose the iteration's blocks (direct + mutation modes).
-    info.blocks = chooseBlocks(info);
-    lastBlockCount = info.blocks.size();
+    chooseBlocks(info);
+    Stimulus &stim = info.stimulus;
+    lastBlockCount = stim.blocks.size();
 
-    // 3. Lay out blocks, recording the global address table
-    //    (iteration-lifetime scratch: arena storage).
-    uint64_t *block_addrs =
-        iterArena.allocN<uint64_t>(info.blocks.size());
-    size_t naddrs = 0;
-    for (SeedBlock &b : info.blocks) {
-        if (!ctx.hasRoom(b.instrCount() +
-                         static_cast<uint32_t>(preamble_len))) {
+    // 3. Lay out blocks contiguously from firstBlockPc.
+    for (size_t i = 0; i < stim.blocks.size(); ++i) {
+        const uint32_t n = stim.blocks[i].count;
+        if (!ctx.hasRoom(n + static_cast<uint32_t>(preamble_len))) {
             warn("instruction segment full; truncating iteration");
-            info.blocks.resize(naddrs);
+            stim.truncate(i);
             break;
         }
-        block_addrs[naddrs++] = addr;
-        ctx.recordBlock(addr, b.instrCount());
-        addr += 4ull * b.instrCount();
-        info.generatedInstrs += b.instrCount();
+        ctx.recordBlock(addr, n);
+        addr += 4ull * n;
     }
+    info.generatedInstrs = stim.totalInstrs();
 
     // 4. Control-flow fix-up + operand rebinding.
-    fixupControlFlow(info.blocks, {block_addrs, naddrs});
+    fixupControlFlow(stim, info.firstBlockPc);
 
     // 5. Commit the complete memory image (templates, data fill,
     //    preamble, blocks) through the same path replay uses.
@@ -357,7 +342,7 @@ TurboFuzzer::generateIteration(soc::Memory &mem)
         materializeIteration(env, info, mem, preamble);
     ctx.finalize();
     info.codeBoundary = ctx.codeBoundary();
-    TF_ASSERT(info.blocks.empty() || boundary == info.codeBoundary,
+    TF_ASSERT(stim.blocks.empty() || boundary == info.codeBoundary,
               "materialized image disagrees with layout context");
     return info;
 }
@@ -379,7 +364,7 @@ TurboFuzzer::reportResult(const IterationInfo &info,
     // observational — admission and selection never read them.
     Seed s;
     s.id = nextSeedId++;
-    s.blocks = info.blocks;
+    s.stimulus = info.stimulus;
     s.parentId = info.parentSeedId;
     s.originOp = info.dominantOp();
     s.energyAtCreation = sched->seedEnergy(cov_increment);

@@ -13,10 +13,8 @@
 #define TURBOFUZZ_FUZZER_TURBOFUZZER_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/config.hh"
 #include "common/lfsr.hh"
 #include "common/rng.hh"
@@ -110,7 +108,14 @@ struct IterationInfo
 {
     uint64_t iterationIndex = 0;
     uint64_t parentSeedId = 0;  ///< 0 = pure direct generation
-    std::vector<SeedBlock> blocks;
+
+    /**
+     * The fuzzing region's blocks, already fixed up. For generators
+     * with a replayEnv() block i sits at
+     * firstBlockPc + 4 * stimulus.blocks[i].offset.
+     */
+    Stimulus stimulus;
+
     uint32_t generatedInstrs = 0; ///< fuzzing instruction words
     uint64_t entryPc = 0;         ///< preamble start
     uint64_t firstBlockPc = 0;    ///< fuzzing region start
@@ -275,13 +280,14 @@ class TurboFuzzer
                          const std::vector<uint32_t> &preamble);
 
   private:
-    /** Choose blocks for the iteration (direct + mutation modes);
-     *  sets @p info's parentSeedId and operator pick counts. */
-    std::vector<SeedBlock> chooseBlocks(IterationInfo &info);
+    /** Choose blocks for the iteration (direct + mutation modes)
+     *  into @p info's stimulus; sets its parentSeedId and operator
+     *  pick counts. */
+    void chooseBlocks(IterationInfo &info);
 
-    /** Assign control-flow targets and patch instruction words. */
-    void fixupControlFlow(std::vector<SeedBlock> &blocks,
-                          std::span<const uint64_t> block_addrs);
+    /** Assign control-flow targets and patch instruction words of
+     *  @p stim, laid out from @p first_block_pc. */
+    void fixupControlFlow(Stimulus &stim, uint64_t first_block_pc);
 
     FuzzerOptions opts;
     const isa::InstructionLibrary *lib;
@@ -301,13 +307,6 @@ class TurboFuzzer
      */
     uint64_t stickySeedId = 0;
     uint32_t stickyEnergy = 0;
-
-    /**
-     * Per-iteration scratch arena (block address table and friends):
-     * reset at the top of every generateIteration(), chunks retained,
-     * so steady-state generation allocates nothing for scratch.
-     */
-    Arena iterArena;
 
     /** preambleCode(replayEnv()) — deterministic per campaign, so
      *  computed once instead of once per iteration. */

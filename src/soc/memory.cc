@@ -1,5 +1,6 @@
 #include "soc/memory.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -46,14 +47,16 @@ Memory::noteWrite(uint64_t addr, uint64_t len)
         ++globalEpoch;
         return;
     }
-    bool matched = false;
+    // Bump every watch the range overlaps, and the global slot unless
+    // one watch holds the whole range (a range may run past a watch).
+    bool contained = false;
     for (FetchWatch &w : watches) {
         if (addr < w.base + w.size && addr + len > w.base) {
             ++w.epoch;
-            matched = true;
+            contained |= addr >= w.base && addr + len <= w.base + w.size;
         }
     }
-    if (!matched)
+    if (!contained)
         ++globalEpoch;
 }
 
@@ -191,17 +194,27 @@ Memory::write64(uint64_t addr, uint64_t value)
 }
 
 void
-Memory::loadBlob(uint64_t addr, const uint8_t *data, size_t size)
+Memory::writeWords(uint64_t addr, std::span<const uint32_t> words)
 {
-    for (size_t i = 0; i < size; ++i)
-        write8(addr + i, data[i]);
-}
-
-void
-Memory::clearRange(uint64_t addr, uint64_t size)
-{
-    for (uint64_t a = addr; a < addr + size; ++a)
-        write8(a, 0);
+    if (words.empty())
+        return;
+    const uint64_t len = 4ull * words.size();
+    if (journal) {
+        // One entry per overwritten word, read before any page of the
+        // range is created, so undo() restores contents and residency.
+        for (size_t i = 0; i < words.size(); ++i)
+            journal->log.push_back({addr + 4 * i, read32(addr + 4 * i), 4});
+    }
+    // One page lookup and one copy per page the range touches.
+    const auto *src = reinterpret_cast<const uint8_t *>(words.data());
+    for (uint64_t done = 0; done < len;) {
+        const uint64_t a = addr + done;
+        const uint64_t off = a % pageSize;
+        const uint64_t n = std::min(len - done, pageSize - off);
+        std::memcpy(pageFor(a).data() + off, src + done, n);
+        done += n;
+    }
+    noteWrite(addr, len);
 }
 
 void

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace turbofuzz::soc
@@ -85,11 +86,13 @@ class Memory
     void write32(uint64_t addr, uint32_t value);
     void write64(uint64_t addr, uint64_t value);
 
-    /** Copy a blob into memory starting at @p addr. */
-    void loadBlob(uint64_t addr, const uint8_t *data, size_t size);
-
-    /** Zero-fill a range (allocates pages). */
-    void clearRange(uint64_t addr, uint64_t size);
+    /**
+     * Store @p words from @p addr on exactly as a write32() loop
+     * would (same bytes, same resident pages), but with one page
+     * lookup and copy per page touched and one fetch-epoch bump for
+     * the whole range. An attached journal records every word.
+     */
+    void writeWords(uint64_t addr, std::span<const uint32_t> words);
 
     /** Drop every page (full reset). */
     void reset();

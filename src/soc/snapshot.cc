@@ -1,5 +1,6 @@
 #include "soc/snapshot.hh"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -23,6 +24,26 @@ formatError(const char *what, unsigned long long have,
     return buf;
 }
 
+/** Little-endian store of an unsigned integer into @p out. */
+template <typename T>
+void
+storeLE(uint8_t *out, T v)
+{
+    for (size_t i = 0; i < sizeof(T); ++i)
+        out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+/** Little-endian load of an unsigned integer from @p in. */
+template <typename T>
+T
+loadLE(const uint8_t *in)
+{
+    T v = 0;
+    for (size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(in[i]) << (8 * i);
+    return v;
+}
+
 } // namespace
 
 void
@@ -31,25 +52,31 @@ SnapshotWriter::putU8(uint8_t v)
     bytes.push_back(v);
 }
 
+template <typename T>
+void
+SnapshotWriter::putLE(T v)
+{
+    uint8_t b[sizeof(T)];
+    storeLE(b, v);
+    bytes.insert(bytes.end(), b, b + sizeof(T));
+}
+
 void
 SnapshotWriter::putU16(uint16_t v)
 {
-    putU8(static_cast<uint8_t>(v));
-    putU8(static_cast<uint8_t>(v >> 8));
+    putLE(v);
 }
 
 void
 SnapshotWriter::putU32(uint32_t v)
 {
-    putU16(static_cast<uint16_t>(v));
-    putU16(static_cast<uint16_t>(v >> 16));
+    putLE(v);
 }
 
 void
 SnapshotWriter::putU64(uint64_t v)
 {
-    putU32(static_cast<uint32_t>(v));
-    putU32(static_cast<uint32_t>(v >> 32));
+    putLE(v);
 }
 
 void
@@ -58,6 +85,24 @@ SnapshotWriter::putF64(double v)
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
     putU64(bits);
+}
+
+void
+SnapshotWriter::putU32Array(std::span<const uint32_t> values)
+{
+    if (values.empty())
+        return;
+    const size_t at = bytes.size();
+    bytes.resize(at + 4 * values.size());
+    uint8_t *out = bytes.data() + at;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, values.data(), 4 * values.size());
+    } else {
+        for (const uint32_t v : values) {
+            storeLE(out, v);
+            out += 4;
+        }
+    }
 }
 
 void
@@ -78,36 +123,42 @@ SnapshotReader::SnapshotReader(const std::vector<uint8_t> &data)
 {
 }
 
+const uint8_t *
+SnapshotReader::take(size_t size)
+{
+    // `size <= remaining()` cannot wrap, unlike the historical
+    // `cursor + size <= source.size()` form, which overflowed for
+    // sizes near SIZE_MAX and let a hostile length walk off the end.
+    if (size > remaining())
+        throw SnapshotFormatError(
+            formatError("snapshot underrun", remaining(), size));
+    const uint8_t *p = source.data() + cursor;
+    cursor += size;
+    return p;
+}
+
 uint8_t
 SnapshotReader::getU8()
 {
-    if (remaining() < 1)
-        throw SnapshotFormatError("snapshot underrun");
-    return source[cursor++];
+    return *take(1);
 }
 
 uint16_t
 SnapshotReader::getU16()
 {
-    const uint16_t lo = getU8();
-    const uint16_t hi = getU8();
-    return static_cast<uint16_t>(lo | (hi << 8));
+    return loadLE<uint16_t>(take(2));
 }
 
 uint32_t
 SnapshotReader::getU32()
 {
-    const uint32_t lo = getU16();
-    const uint32_t hi = getU16();
-    return lo | (hi << 16);
+    return loadLE<uint32_t>(take(4));
 }
 
 uint64_t
 SnapshotReader::getU64()
 {
-    const uint64_t lo = getU32();
-    const uint64_t hi = getU32();
-    return lo | (hi << 32);
+    return loadLE<uint64_t>(take(8));
 }
 
 double
@@ -120,16 +171,31 @@ SnapshotReader::getF64()
 }
 
 void
+SnapshotReader::getU32Array(std::span<uint32_t> out)
+{
+    // One check for the whole array; a count the buffer cannot hold
+    // throws before the cursor moves.
+    if (out.size() > remaining() / 4)
+        throw SnapshotFormatError(formatError(
+            "snapshot underrun", remaining(),
+            static_cast<unsigned long long>(out.size()) * 4));
+    if (out.empty())
+        return;
+    const uint8_t *in = take(4 * out.size());
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out.data(), in, 4 * out.size());
+    } else {
+        for (uint32_t &v : out) {
+            v = loadLE<uint32_t>(in);
+            in += 4;
+        }
+    }
+}
+
+void
 SnapshotReader::getBytes(uint8_t *out, size_t size)
 {
-    // `size <= remaining()` cannot wrap, unlike the historical
-    // `cursor + size <= source.size()` form, which overflowed for
-    // sizes near SIZE_MAX and let a hostile length walk off the end.
-    if (size > remaining())
-        throw SnapshotFormatError(
-            formatError("snapshot underrun", remaining(), size));
-    std::memcpy(out, source.data() + cursor, size);
-    cursor += size;
+    std::memcpy(out, take(size), size);
 }
 
 std::string

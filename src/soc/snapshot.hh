@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -53,6 +54,8 @@ class SnapshotWriter
     void putU64(uint64_t v);
     /** IEEE-754 bit pattern of @p v (serialization-safe doubles). */
     void putF64(double v);
+    /** @p values as consecutive little-endian u32s, in one append. */
+    void putU32Array(std::span<const uint32_t> values);
     void putBytes(const uint8_t *data, size_t size);
     void putString(const std::string &s);
 
@@ -60,12 +63,15 @@ class SnapshotWriter
     std::vector<uint8_t> takeBuffer() { return std::move(bytes); }
 
   private:
+    template <typename T> void putLE(T v);
+
     std::vector<uint8_t> bytes;
 };
 
 /**
  * Deserializer over a snapshot section stream. Every read is bounds
- * checked; consuming past the end throws SnapshotFormatError.
+ * checked once; consuming past the end throws SnapshotFormatError
+ * and leaves the cursor where it was.
  */
 class SnapshotReader
 {
@@ -77,6 +83,8 @@ class SnapshotReader
     uint32_t getU32();
     uint64_t getU64();
     double getF64();
+    /** Fill @p out with consecutive little-endian u32s. */
+    void getU32Array(std::span<uint32_t> out);
     void getBytes(uint8_t *out, size_t size);
 
     /** Length-prefixed string; the length is validated against the
@@ -90,6 +98,9 @@ class SnapshotReader
     size_t remaining() const { return source.size() - cursor; }
 
   private:
+    /** Bounds-check and consume @p size bytes; returns their start. */
+    const uint8_t *take(size_t size);
+
     const std::vector<uint8_t> &source;
     size_t cursor = 0;
 };

@@ -12,102 +12,93 @@ namespace turbofuzz::triage
 namespace
 {
 
-using fuzzer::SeedBlock;
+using fuzzer::Stimulus;
+using fuzzer::StimulusBlock;
 
 /**
  * Deterministically re-patch the control-flow immediates of a freshly
- * laid-out block list. Target *selection* is the only difference from
+ * laid-out stimulus. Target *selection* is the only difference from
  * the fuzzer's fix-up pass (whose encoding arms are shared via
  * fuzzer::patchBlockTarget): removed targets fall through to the next
  * block; surviving targets — including degenerate self-loops the
  * generator produced — are preserved.
  */
 void
-patchControlFlow(std::vector<SeedBlock> &blocks,
-                 const std::vector<uint64_t> &block_addrs)
+patchControlFlow(Stimulus &stim, uint64_t first_block_pc)
 {
-    const auto nblocks = static_cast<int64_t>(blocks.size());
+    const auto nblocks = static_cast<int64_t>(stim.blocks.size());
     for (int64_t i = 0; i < nblocks; ++i) {
-        SeedBlock &b = blocks[i];
+        StimulusBlock &b = stim.blocks[i];
         b.position = static_cast<uint32_t>(i);
         if (!b.isControlFlow)
             continue;
-        if (!isa::decode(b.insns[b.primeIdx]).valid)
+        if (!isa::decode(stim.primeWord(i)).valid)
             continue; // a pruned operand broke decode; replay decides
 
         int64_t target = b.targetBlock;
         if (target < 0 || target >= nblocks)
             target = (i + 1 < nblocks) ? i + 1 : i;
-        fuzzer::patchBlockTarget(b, i, target, block_addrs);
+        fuzzer::patchBlockTarget(stim, i, target, first_block_pc);
     }
 }
 
-/** Subset @p base's blocks to @p keep (sorted original indices),
- *  remapping branch targets onto surviving blocks. */
-std::vector<SeedBlock>
-subsetBlocks(const std::vector<SeedBlock> &original,
-             const std::vector<uint32_t> &keep)
+/**
+ * Fill @p out with the blocks of @p original listed in @p keep (sorted
+ * original indices), one copy per run of consecutive kept blocks, and
+ * remap branch targets onto surviving blocks. @p remap is scratch.
+ */
+void
+subsetBlocks(const Stimulus &original, const std::vector<uint32_t> &keep,
+             std::vector<int32_t> &remap, Stimulus &out)
 {
-    std::vector<int32_t> remap(original.size(), -1);
+    const size_t nblocks = original.blocks.size();
+    remap.assign(nblocks, -1);
     for (size_t n = 0; n < keep.size(); ++n)
         remap[keep[n]] = static_cast<int32_t>(n);
 
-    std::vector<SeedBlock> blocks;
-    blocks.reserve(keep.size());
-    for (uint32_t idx : keep) {
-        SeedBlock b = original[idx];
+    out.clear();
+    for (size_t n = 0; n < keep.size();) {
+        size_t end = n + 1;
+        while (end < keep.size() && keep[end] == keep[end - 1] + 1)
+            ++end;
+        out.appendBlocks(original, keep[n], end - n);
+        n = end;
+    }
+    for (StimulusBlock &b : out.blocks) {
         if (b.isControlFlow && b.targetBlock >= 0 &&
-            b.targetBlock <
-                static_cast<int32_t>(original.size())) {
+            static_cast<size_t>(b.targetBlock) < nblocks) {
             // Prefer the surviving image of the target; if it was
             // removed, the nearest surviving block at or after it.
             int32_t t = remap[b.targetBlock];
-            for (size_t j = b.targetBlock;
-                 t < 0 && j < original.size(); ++j)
+            for (size_t j = b.targetBlock; t < 0 && j < nblocks; ++j)
                 t = remap[j];
             b.targetBlock = t; // -1 falls through in the re-patch
         }
-        blocks.push_back(std::move(b));
     }
-    return blocks;
 }
 
 } // namespace
 
-Reproducer
-Minimizer::rebuild(const Reproducer &base,
-                   std::vector<SeedBlock> blocks)
+void
+Minimizer::rebuild(Reproducer &r)
 {
-    TF_ASSERT(!blocks.empty(), "cannot rebuild an empty reproducer");
-    Reproducer r = base;
-
-    std::vector<uint64_t> block_addrs;
-    block_addrs.reserve(blocks.size());
-    uint64_t addr = r.iteration.firstBlockPc;
-    uint32_t instrs = 0;
-    for (const SeedBlock &b : blocks) {
-        block_addrs.push_back(addr);
-        addr += 4ull * b.instrCount();
-        instrs += b.instrCount();
-    }
-    patchControlFlow(blocks, block_addrs);
-
-    r.iteration.blocks = std::move(blocks);
-    r.iteration.generatedInstrs = instrs;
-    r.iteration.codeBoundary = addr;
-    if (r.iteration.fuzzRegionEnd)
-        r.iteration.fuzzRegionEnd = addr;
-    return r;
+    fuzzer::IterationInfo &it = r.iteration;
+    TF_ASSERT(!it.stimulus.blocks.empty(),
+              "cannot rebuild an empty reproducer");
+    patchControlFlow(it.stimulus, it.firstBlockPc);
+    it.generatedInstrs = it.stimulus.totalInstrs();
+    it.codeBoundary = it.firstBlockPc + 4ull * it.generatedInstrs;
+    if (it.fuzzRegionEnd)
+        it.fuzzRegionEnd = it.codeBoundary;
 }
 
 MinimizeResult
 Minimizer::minimize(const Reproducer &r) const
 {
+    const Stimulus &original = r.iteration.stimulus;
     MinimizeResult result;
-    result.minimized = r;
     result.originalInstrs = r.iteration.generatedInstrs;
-    result.originalBlocks =
-        static_cast<uint32_t>(r.iteration.blocks.size());
+    result.originalBlocks = static_cast<uint32_t>(original.blocks.size());
     result.minimizedInstrs = result.originalInstrs;
     result.minimizedBlocks = result.originalBlocks;
 
@@ -120,8 +111,10 @@ Minimizer::minimize(const Reproducer &r) const
 
     // 0. The original must reproduce before reduction means anything.
     ++result.replays;
-    if (!ReplayHarness::confirms(r, ctx.replay(r)))
+    if (!ReplayHarness::confirms(r, ctx.replay(r))) {
+        result.minimized = r;
         return result;
+    }
     result.confirmed = true;
 
     const BugSignature target = canonicalize(r);
@@ -135,11 +128,17 @@ Minimizer::minimize(const Reproducer &r) const
                canonicalize(out.mismatch, &cand) == target;
     };
 
+    // Every candidate is built in one working copy of the reproducer:
+    // only its stimulus changes between replays, rewritten in place.
+    Reproducer cand = r;
+    std::vector<int32_t> remap;
+
     // 1. Block-level ddmin.
-    std::vector<uint32_t> keep(r.iteration.blocks.size());
+    std::vector<uint32_t> keep(original.blocks.size());
     for (uint32_t i = 0; i < keep.size(); ++i)
         keep[i] = i;
 
+    std::vector<uint32_t> trial;
     size_t granularity = 2;
     while (keep.size() >= 2 && budgetLeft()) {
         const size_t chunk =
@@ -150,15 +149,12 @@ Minimizer::minimize(const Reproducer &r) const
             const size_t end = std::min(start + chunk, keep.size());
             if (end - start == keep.size())
                 continue; // never test the empty stimulus
-            std::vector<uint32_t> cand;
-            cand.reserve(keep.size() - (end - start));
-            cand.insert(cand.end(), keep.begin(),
-                        keep.begin() + start);
-            cand.insert(cand.end(), keep.begin() + end, keep.end());
-            Reproducer cr = rebuild(
-                r, subsetBlocks(r.iteration.blocks, cand));
-            if (stillFails(cr)) {
-                keep = std::move(cand);
+            trial.assign(keep.begin(), keep.begin() + start);
+            trial.insert(trial.end(), keep.begin() + end, keep.end());
+            subsetBlocks(original, trial, remap, cand.iteration.stimulus);
+            rebuild(cand);
+            if (stillFails(cand)) {
+                keep.swap(trial);
                 reduced = true;
                 break; // chunk sizes changed; restart the sweep
             }
@@ -169,27 +165,27 @@ Minimizer::minimize(const Reproducer &r) const
             granularity = std::min(keep.size(), granularity * 2);
         }
     }
-    Reproducer best = rebuild(r, subsetBlocks(r.iteration.blocks,
-                                              keep));
+    subsetBlocks(original, keep, remap, cand.iteration.stimulus);
+    rebuild(cand);
+    Reproducer best = cand;
 
-    // 2. Affiliated-instruction pruning inside surviving blocks.
+    // 2. Affiliated-instruction pruning inside surviving blocks: erase
+    //    one word from a copy of the current best.
     if (opts.pruneAffiliated) {
         for (size_t bi = 0;
-             bi < best.iteration.blocks.size() && budgetLeft();
+             bi < best.iteration.stimulus.blocks.size() && budgetLeft();
              ++bi) {
-            for (size_t j = best.iteration.blocks[bi].insns.size();
+            for (uint32_t j = best.iteration.stimulus.blocks[bi].count;
                  j-- > 0 && budgetLeft();) {
-                const SeedBlock &blk = best.iteration.blocks[bi];
-                if (j == blk.primeIdx || blk.insns.size() <= 1)
+                const StimulusBlock &blk =
+                    best.iteration.stimulus.blocks[bi];
+                if (j == blk.primeIdx || blk.count <= 1)
                     continue;
-                std::vector<SeedBlock> cand = best.iteration.blocks;
-                cand[bi].insns.erase(cand[bi].insns.begin() +
-                                     static_cast<long>(j));
-                if (j < cand[bi].primeIdx)
-                    --cand[bi].primeIdx;
-                Reproducer cr = rebuild(best, std::move(cand));
-                if (stillFails(cr))
-                    best = std::move(cr);
+                cand.iteration.stimulus = best.iteration.stimulus;
+                cand.iteration.stimulus.eraseWord(bi, j);
+                rebuild(cand);
+                if (stillFails(cand))
+                    std::swap(best, cand);
             }
         }
     }
@@ -204,6 +200,7 @@ Minimizer::minimize(const Reproducer &r) const
         // (possible only when ddmin accepted nothing, so `best` was
         // never gated by stillFails): ship the unreduced original
         // rather than a reproducer that no longer fires.
+        result.minimized = r;
         return result;
     }
     best.mismatch = out.mismatch;
@@ -213,7 +210,7 @@ Minimizer::minimize(const Reproducer &r) const
     result.minimizedInstrs =
         result.minimized.iteration.generatedInstrs;
     result.minimizedBlocks = static_cast<uint32_t>(
-        result.minimized.iteration.blocks.size());
+        result.minimized.iteration.stimulus.blocks.size());
     return result;
 }
 

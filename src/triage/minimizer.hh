@@ -66,14 +66,14 @@ class Minimizer
     MinimizeResult minimize(const Reproducer &r) const;
 
     /**
-     * Rebuild a reproducer around a new block list: re-lay blocks
-     * from firstBlockPc, deterministically re-patch control flow
-     * (each block's targetBlock must index into @p blocks or be -1),
-     * and recompute the iteration metadata. The mismatch record is
-     * left untouched — callers replay the result to refresh it.
+     * Rebuild @p r around its (edited) stimulus in place: re-lay the
+     * blocks from firstBlockPc, deterministically re-patch control
+     * flow (each block's targetBlock must index into the stimulus or
+     * be -1), and recompute the iteration metadata. The mismatch
+     * record is left untouched — callers replay the result to
+     * refresh it.
      */
-    static Reproducer rebuild(const Reproducer &base,
-                              std::vector<fuzzer::SeedBlock> blocks);
+    static void rebuild(Reproducer &r);
 
   private:
     MinimizeOptions opts;

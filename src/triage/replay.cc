@@ -123,18 +123,16 @@ ReplayHarness::Context::Context(const Reproducer &r)
     // Base image: the prefix of materializeIteration()'s write
     // sequence that does not depend on the block list — exception
     // templates, this iteration index's data fill, and the preamble.
-    // Per-replay, the candidate's blocks are written onto a copy,
-    // reproducing the full materialization bit-exactly.
+    // Per-replay, the candidate's stimulus is written onto a copy as
+    // one range, reproducing the full materialization bit-exactly.
     fuzzer::ExceptionTemplates::install(baseMem, lay);
     fuzzer::TurboFuzzer::fillDataSegment(env, iterationIndex, baseMem);
-    uint64_t addr = lay.instrBase;
-    for (uint32_t insn : fuzzer::TurboFuzzer::preambleCode(env)) {
-        baseMem.write32(addr, insn);
-        addr += 4;
-    }
-    TF_ASSERT(addr == firstBlockPc,
+    const std::vector<uint32_t> preamble =
+        fuzzer::TurboFuzzer::preambleCode(env);
+    TF_ASSERT(lay.instrBase + 4ull * preamble.size() == firstBlockPc,
               "replay context preamble disagrees with reproducer "
               "layout");
+    baseMem.writeWords(lay.instrBase, preamble);
 
     engine::WarmStartSpec spec;
     spec.dutOpts = dutOpts;
@@ -171,13 +169,7 @@ ReplayHarness::Context::replay(const Reproducer &r) const
               "reproducer does not share this replay context");
 
     soc::Memory dut_mem = baseMem;
-    uint64_t addr = firstBlockPc;
-    for (const fuzzer::SeedBlock &b : r.iteration.blocks) {
-        for (uint32_t insn : b.insns) {
-            dut_mem.write32(addr, insn);
-            addr += 4;
-        }
-    }
+    dut_mem.writeWords(firstBlockPc, r.iteration.stimulus.words);
     soc::Memory ref_mem = dut_mem;
     return runReplay(r, dut_mem, ref_mem,
                      warm ? &*warm : nullptr);

@@ -88,8 +88,8 @@ class ReplayHarness
         core::Iss::Options dutOpts;
         core::Iss::Options refOpts;
 
-        /** Templates + data fill + preamble; blocks are written on a
-         *  copy of this image per replay. */
+        /** Templates + data fill + preamble; each replay writes its
+         *  stimulus onto a copy of this image as one range. */
         soc::Memory baseMem;
 
         /** Post-prefix snapshot; nullopt falls back to cold. */

@@ -85,7 +85,7 @@ Reproducer::serialize() const
     w.putU64(doubleBits(detectSimTimeSec));
     w.putU32(shard);
 
-    fuzzer::writeSeedBlocks(w, iteration.blocks);
+    fuzzer::writeSeedBlocks(w, iteration.stimulus);
     return w.takeBuffer();
 }
 
@@ -157,7 +157,7 @@ Reproducer::tryDeserialize(const std::vector<uint8_t> &bytes,
     p.detectSimTimeSec = bitsDouble(r.getU64());
     p.shard = r.getU32();
 
-    if (!fuzzer::readSeedBlocks(r, p.iteration.blocks, error))
+    if (!fuzzer::readSeedBlocks(r, p.iteration.stimulus, error))
         return std::nullopt;
     if (!r.exhausted())
         return fail("trailing bytes in serialized reproducer");
@@ -178,9 +178,7 @@ Reproducer::tryDeserialize(const std::vector<uint8_t> &bytes,
         lay.instrBase +
             4ull * fuzzer::TurboFuzzer::preambleCode(p.env).size())
         return fail("fuzz-region start disagrees with preamble");
-    uint64_t instrs = 0;
-    for (const auto &b : p.iteration.blocks)
-        instrs += b.instrCount();
+    const uint64_t instrs = p.iteration.stimulus.totalInstrs();
     if (instrs != p.iteration.generatedInstrs)
         return fail("instruction count disagrees with blocks");
     if (p.iteration.codeBoundary !=

@@ -113,6 +113,40 @@ TEST(DecodeCache, ExternalStoreToCachedAddressRedecodes)
     EXPECT_GE(iss.decodeStats().invalidate, 1u);
 }
 
+TEST(DecodeCache, BulkOverwriteOfDecodedCodeRedecodes)
+{
+    // The per-iteration stimulus rewrite is one Memory::writeWords
+    // call over code the hart has already decoded, with the code
+    // segment watched as a campaign watches it.
+    ScopedDecodeCacheEnv on(nullptr);
+    soc::Memory mem;
+    mem.addFetchWatch(base, 1 << 16);
+    const std::vector<uint32_t> first = {
+        isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 7)),
+        isa::encode(Opcode::Addi, opsRdRs1Imm(2, 1, 1)),
+    };
+    mem.writeWords(base, first);
+
+    Iss iss(&mem);
+    iss.reset(base);
+    ASSERT_TRUE(iss.decodeCacheEnabled());
+    iss.step();
+    iss.step();
+    EXPECT_EQ(iss.state().x(2), 8u);
+
+    const std::vector<uint32_t> second = {
+        isa::encode(Opcode::Addi, opsRdRs1Imm(1, 0, 20)),
+        isa::encode(Opcode::Addi, opsRdRs1Imm(2, 1, 3)),
+    };
+    mem.writeWords(base, second);
+    iss.reset(base);
+    iss.step();
+    iss.step();
+    EXPECT_EQ(iss.state().x(2), 23u)
+        << "stale decode executed after a bulk overwrite";
+    EXPECT_GE(iss.decodeStats().invalidate, 2u);
+}
+
 /**
  * Self-modifying regression: a program overwrites an instruction it
  * already executed (and therefore cached), loops back, and must

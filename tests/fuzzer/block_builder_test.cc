@@ -21,6 +21,15 @@ class BlockBuilderTest : public ::testing::Test
         lib.exclude(isa::Opcode::Mret);
     }
 
+    /** A fresh stimulus holding one newly built block. */
+    Stimulus
+    buildOne()
+    {
+        Stimulus st;
+        builder.appendRandomBlock(st, rng);
+        return st;
+    }
+
     MemoryLayout layout;
     isa::InstructionLibrary lib;
     BlockBuilder builder;
@@ -30,13 +39,37 @@ class BlockBuilderTest : public ::testing::Test
 TEST_F(BlockBuilderTest, EveryBlockDecodesCompletely)
 {
     for (int i = 0; i < 2000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        ASSERT_FALSE(b.insns.empty());
-        ASSERT_LT(b.primeIdx, b.insns.size());
-        for (uint32_t w : b.insns)
+        const Stimulus st = buildOne();
+        ASSERT_EQ(st.blocks.size(), 1u);
+        ASSERT_EQ(st.blocks[0].count, st.words.size());
+        ASSERT_FALSE(st.words.empty());
+        ASSERT_LT(st.blocks[0].primeIdx, st.words.size());
+        for (uint32_t w : st.words)
             EXPECT_TRUE(isa::decode(w).valid)
                 << isa::disassemble(w);
     }
+}
+
+TEST_F(BlockBuilderTest, AppendedBlocksAreContiguous)
+{
+    // Appending to one stimulus draws the same stream as building
+    // each block alone, and lays the blocks end to end.
+    Rng solo_rng(11);
+    rng = Rng(11);
+    Stimulus all;
+    std::vector<uint32_t> expect_words;
+    for (int i = 0; i < 200; ++i) {
+        builder.appendRandomBlock(all, rng);
+        Stimulus one;
+        builder.appendRandomBlock(one, solo_rng);
+        const StimulusBlock &b = all.blocks.back();
+        EXPECT_EQ(b.offset, expect_words.size());
+        EXPECT_EQ(b.count, one.blocks[0].count);
+        EXPECT_EQ(b.primeIdx, one.blocks[0].primeIdx);
+        expect_words.insert(expect_words.end(), one.words.begin(),
+                            one.words.end());
+    }
+    EXPECT_EQ(all.words, expect_words);
 }
 
 TEST_F(BlockBuilderTest, ControlFlowFlagMatchesPrime)
@@ -44,10 +77,10 @@ TEST_F(BlockBuilderTest, ControlFlowFlagMatchesPrime)
     int cf_blocks = 0;
     const int n = 3000;
     for (int i = 0; i < n; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
-        EXPECT_EQ(b.isControlFlow, d.desc->isControlFlow());
-        cf_blocks += b.isControlFlow;
+        const Stimulus st = buildOne();
+        const isa::Decoded d = isa::decode(st.primeWord(0));
+        EXPECT_EQ(st.blocks[0].isControlFlow, d.desc->isControlFlow());
+        cf_blocks += st.blocks[0].isControlFlow;
     }
     // The control-flow share steers toward the paper's 1:5-ish mix.
     const double share = static_cast<double>(cf_blocks) / n;
@@ -60,16 +93,16 @@ TEST_F(BlockBuilderTest, MemoryBlocksStageTheirOwnAddress)
     // Memory primes must use the scratch register staged inside the
     // block (never rely on live-in register state).
     for (int i = 0; i < 3000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
+        const Stimulus st = buildOne();
+        const isa::Decoded d = isa::decode(st.primeWord(0));
         if (!d.desc->isMemAccess())
             continue;
         EXPECT_EQ(d.ops.rs1, MemoryLayout::regScratch)
-            << isa::disassemble(b.insns[b.primeIdx]);
+            << isa::disassemble(st.primeWord(0));
         // A staging instruction writing x30 precedes the prime.
         bool staged = false;
-        for (uint32_t k = 0; k < b.primeIdx; ++k) {
-            const isa::Decoded s = isa::decode(b.insns[k]);
+        for (uint32_t k = 0; k < st.blocks[0].primeIdx; ++k) {
+            const isa::Decoded s = isa::decode(st.words[k]);
             staged |= s.valid &&
                       s.ops.rd == MemoryLayout::regScratch &&
                       s.desc->has(isa::FlagWritesRd);
@@ -81,20 +114,20 @@ TEST_F(BlockBuilderTest, MemoryBlocksStageTheirOwnAddress)
 TEST_F(BlockBuilderTest, AtomicsAreAlignmentMasked)
 {
     for (int i = 0; i < 4000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
+        const Stimulus st = buildOne();
+        const isa::Decoded d = isa::decode(st.primeWord(0));
         if (!d.desc->has(isa::FlagAtomic))
             continue;
         // An andi x30, x30, -size precedes the prime.
         bool masked = false;
-        for (uint32_t k = 0; k < b.primeIdx; ++k) {
-            const isa::Decoded s = isa::decode(b.insns[k]);
+        for (uint32_t k = 0; k < st.blocks[0].primeIdx; ++k) {
+            const isa::Decoded s = isa::decode(st.words[k]);
             masked |= s.valid && s.op == isa::Opcode::Andi &&
                       s.ops.rd == MemoryLayout::regScratch &&
                       (s.ops.imm == -4 || s.ops.imm == -8);
         }
         EXPECT_TRUE(masked)
-            << isa::disassemble(b.insns[b.primeIdx]);
+            << isa::disassemble(st.primeWord(0));
         EXPECT_EQ(d.ops.imm, 0);
     }
 }
@@ -102,8 +135,8 @@ TEST_F(BlockBuilderTest, AtomicsAreAlignmentMasked)
 TEST_F(BlockBuilderTest, CsrPrimesAvoidMtvec)
 {
     for (int i = 0; i < 4000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
+        const Stimulus st = buildOne();
+        const isa::Decoded d = isa::decode(st.primeWord(0));
         if (d.valid && d.desc->has(isa::FlagCsr))
             EXPECT_NE(d.ops.csr, isa::csr::mtvec);
     }
@@ -112,11 +145,11 @@ TEST_F(BlockBuilderTest, CsrPrimesAvoidMtvec)
 TEST_F(BlockBuilderTest, MutationPreservesOpcodeAndValidity)
 {
     for (int i = 0; i < 2000; ++i) {
-        SeedBlock b = builder.buildRandomBlock(rng);
+        Stimulus st = buildOne();
         const isa::Opcode before =
-            isa::decode(b.insns[b.primeIdx]).op;
-        builder.mutateOperands(b, rng);
-        const isa::Decoded after = isa::decode(b.insns[b.primeIdx]);
+            isa::decode(st.primeWord(0)).op;
+        builder.mutateOperands(st, 0, rng);
+        const isa::Decoded after = isa::decode(st.primeWord(0));
         ASSERT_TRUE(after.valid);
         EXPECT_EQ(after.op, before);
     }
@@ -125,13 +158,13 @@ TEST_F(BlockBuilderTest, MutationPreservesOpcodeAndValidity)
 TEST_F(BlockBuilderTest, MutationKeepsMemoryAddressingBound)
 {
     for (int i = 0; i < 4000; ++i) {
-        SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded before = isa::decode(b.insns[b.primeIdx]);
+        Stimulus st = buildOne();
+        const isa::Decoded before = isa::decode(st.primeWord(0));
         if (!before.desc->isMemAccess())
             continue;
         for (int m = 0; m < 8; ++m)
-            builder.mutateOperands(b, rng);
-        const isa::Decoded after = isa::decode(b.insns[b.primeIdx]);
+            builder.mutateOperands(st, 0, rng);
+        const isa::Decoded after = isa::decode(st.primeWord(0));
         EXPECT_EQ(after.ops.rs1, MemoryLayout::regScratch);
         EXPECT_EQ(after.ops.imm, before.ops.imm);
     }
@@ -159,8 +192,9 @@ TEST(GenProbsTest, ValidRmOnlyProducesNoReservedModes)
     BlockBuilder builder(layout, &lib, probs);
     Rng rng(3);
     for (int i = 0; i < 3000; ++i) {
-        const SeedBlock b = builder.buildRandomBlock(rng);
-        const isa::Decoded d = isa::decode(b.insns[b.primeIdx]);
+        Stimulus st;
+        builder.appendRandomBlock(st, rng);
+        const isa::Decoded d = isa::decode(st.primeWord(0));
         if (d.desc->has(isa::FlagHasRm))
             EXPECT_LT(d.ops.rm, 5);
     }

@@ -20,12 +20,12 @@ seedWithId(uint64_t id)
 {
     Seed s;
     s.id = id;
-    SeedBlock b;
     // Distinct stimulus per id: imports deduplicate by content hash,
     // so seeds that should be independently admissible must differ
     // in content, not just in id.
-    b.insns = {0x13, static_cast<uint32_t>(0x100013 + (id << 20))};
-    s.blocks.push_back(b);
+    s.stimulus.beginBlock();
+    s.stimulus.pushWord(0x13);
+    s.stimulus.pushWord(static_cast<uint32_t>(0x100013 + (id << 20)));
     return s;
 }
 
@@ -369,13 +369,13 @@ TEST(Seed, ContentHashIgnoresSchedulingMetadata)
     // Two blocks with an odd and an even instruction count, so every
     // lane of the word packing is exercised.
     Seed a = seedWithId(5);
-    SeedBlock cf;
-    cf.insns = {0x00000013, 0x00a00093, 0xfe000ee3};
+    StimulusBlock &cf = a.stimulus.beginBlock();
+    for (const uint32_t w : {0x00000013u, 0x00a00093u, 0xfe000ee3u})
+        a.stimulus.pushWord(w);
     cf.primeIdx = 2;
     cf.isControlFlow = true;
     cf.targetBlock = 0;
     cf.position = 1;
-    a.blocks.push_back(cf);
     const uint64_t h = a.contentHash();
     EXPECT_EQ(h, a.contentHash()); // stable
 
@@ -390,37 +390,51 @@ TEST(Seed, ContentHashIgnoresSchedulingMetadata)
     b.energyAtCreation = 4;
     EXPECT_EQ(h, b.contentHash());
 
-    // Every content field moves it, in either block.
+    // Every content field moves it, in either block. Block 0 holds
+    // words [0, 2), block 1 words [2, 5).
     const std::vector<std::pair<const char *, void (*)(Seed &)>>
         edits = {
-            {"insn value", [](Seed &s) { s.blocks[0].insns[0] ^= 1; }},
+            {"insn value", [](Seed &s) { s.stimulus.words[0] ^= 1; }},
             {"last insn value",
-             [](Seed &s) { s.blocks[1].insns[2] ^= 0x80000000u; }},
+             [](Seed &s) { s.stimulus.words[4] ^= 0x80000000u; }},
             {"insn order",
              [](Seed &s) {
-                 std::swap(s.blocks[1].insns[0], s.blocks[1].insns[1]);
+                 std::swap(s.stimulus.words[2], s.stimulus.words[3]);
              }},
             {"insn order across words",
              [](Seed &s) {
-                 std::swap(s.blocks[1].insns[1], s.blocks[1].insns[2]);
+                 std::swap(s.stimulus.words[3], s.stimulus.words[4]);
              }},
             {"insn count",
-             [](Seed &s) { s.blocks[0].insns.push_back(0x13); }},
+             [](Seed &s) {
+                 Stimulus &t = s.stimulus;
+                 t.words.insert(t.words.begin() + 2, 0x13);
+                 ++t.blocks[0].count;
+                 ++t.blocks[1].offset;
+             }},
             // Only the count tells {.., x} from {.., x, 0} apart.
             {"trailing zero insn",
-             [](Seed &s) { s.blocks[1].insns.push_back(0); }},
-            {"primeIdx", [](Seed &s) { s.blocks[1].primeIdx = 1; }},
+             [](Seed &s) { s.stimulus.pushWord(0); }},
+            {"primeIdx",
+             [](Seed &s) { s.stimulus.blocks[1].primeIdx = 1; }},
             {"isControlFlow",
-             [](Seed &s) { s.blocks[1].isControlFlow = false; }},
-            {"targetBlock", [](Seed &s) { s.blocks[0].targetBlock = 3; }},
+             [](Seed &s) { s.stimulus.blocks[1].isControlFlow = false; }},
+            {"targetBlock",
+             [](Seed &s) { s.stimulus.blocks[0].targetBlock = 3; }},
             {"targetBlock sign",
-             [](Seed &s) { s.blocks[1].targetBlock = -1; }},
-            {"position", [](Seed &s) { s.blocks[1].position = 2; }},
+             [](Seed &s) { s.stimulus.blocks[1].targetBlock = -1; }},
+            {"position",
+             [](Seed &s) { s.stimulus.blocks[1].position = 2; }},
             {"position bit 31",
-             [](Seed &s) { s.blocks[1].position |= 0x80000000u; }},
-            {"block count", [](Seed &s) { s.blocks.pop_back(); }},
+             [](Seed &s) { s.stimulus.blocks[1].position |= 0x80000000u; }},
+            {"block count", [](Seed &s) { s.stimulus.truncate(1); }},
             {"block order",
-             [](Seed &s) { std::swap(s.blocks[0], s.blocks[1]); }},
+             [](Seed &s) {
+                 Stimulus swapped;
+                 swapped.appendBlocks(s.stimulus, 1, 1);
+                 swapped.appendBlocks(s.stimulus, 0, 1);
+                 s.stimulus = swapped;
+             }},
         };
     for (const auto &[what, edit] : edits) {
         Seed c = a;

@@ -216,11 +216,10 @@ TEST(BanditScheduler, FuzzerCheckpointResumeIsDeterministic)
         const IterationInfo got = resumed.generateIteration(mem_c);
         ASSERT_EQ(got.iterationIndex, expect.iterationIndex);
         ASSERT_EQ(got.parentSeedId, expect.parentSeedId);
-        ASSERT_EQ(got.blocks.size(), expect.blocks.size());
-        for (size_t bi = 0; bi < got.blocks.size(); ++bi)
-            ASSERT_EQ(got.blocks[bi].insns, expect.blocks[bi].insns)
-                << "iteration " << expect.iterationIndex << " block "
-                << bi;
+        ASSERT_EQ(got.stimulus.blocks.size(),
+                  expect.stimulus.blocks.size());
+        ASSERT_TRUE(got.stimulus == expect.stimulus)
+            << "iteration " << expect.iterationIndex;
         resumed.reportResult(got, pseudo_increment(got));
     }
 }

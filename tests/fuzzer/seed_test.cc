@@ -10,6 +10,16 @@ namespace turbofuzz::fuzzer
 namespace
 {
 
+/** Append a block holding @p words to @p s; returns its record. */
+StimulusBlock &
+addBlock(Stimulus &s, std::initializer_list<uint32_t> words)
+{
+    StimulusBlock &b = s.beginBlock();
+    for (const uint32_t w : words)
+        s.pushWord(w);
+    return b;
+}
+
 Seed
 sampleSeed()
 {
@@ -21,19 +31,16 @@ sampleSeed()
     s.originOp = 3;
     s.lineageDepth = 2;
     s.energyAtCreation = 50;
-    SeedBlock b1;
-    b1.insns = {0x00100093, 0x00208133};
+    StimulusBlock &b1 = addBlock(s.stimulus, {0x00100093, 0x00208133});
     b1.primeIdx = 1;
     b1.isControlFlow = false;
     b1.targetBlock = -1;
     b1.position = 0;
-    SeedBlock b2;
-    b2.insns = {0x00b50863};
+    StimulusBlock &b2 = addBlock(s.stimulus, {0x00b50863});
     b2.primeIdx = 0;
     b2.isControlFlow = true;
     b2.targetBlock = 0;
     b2.position = 1;
-    s.blocks = {b1, b2};
     return s;
 }
 
@@ -56,14 +63,17 @@ TEST(Seed, SerializeRoundTrip)
     EXPECT_EQ(t.originOp, s.originOp);
     EXPECT_EQ(t.lineageDepth, s.lineageDepth);
     EXPECT_EQ(t.energyAtCreation, s.energyAtCreation);
-    ASSERT_EQ(t.blocks.size(), s.blocks.size());
-    for (size_t i = 0; i < s.blocks.size(); ++i) {
-        EXPECT_EQ(t.blocks[i].insns, s.blocks[i].insns);
-        EXPECT_EQ(t.blocks[i].primeIdx, s.blocks[i].primeIdx);
-        EXPECT_EQ(t.blocks[i].isControlFlow,
-                  s.blocks[i].isControlFlow);
-        EXPECT_EQ(t.blocks[i].targetBlock, s.blocks[i].targetBlock);
-        EXPECT_EQ(t.blocks[i].position, s.blocks[i].position);
+    EXPECT_EQ(t.stimulus.words, s.stimulus.words);
+    ASSERT_EQ(t.stimulus.blocks.size(), s.stimulus.blocks.size());
+    for (size_t i = 0; i < s.stimulus.blocks.size(); ++i) {
+        const StimulusBlock &a = t.stimulus.blocks[i];
+        const StimulusBlock &b = s.stimulus.blocks[i];
+        EXPECT_EQ(a.offset, b.offset);
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.primeIdx, b.primeIdx);
+        EXPECT_EQ(a.isControlFlow, b.isControlFlow);
+        EXPECT_EQ(a.targetBlock, b.targetBlock);
+        EXPECT_EQ(a.position, b.position);
     }
 }
 
@@ -83,18 +93,18 @@ TEST(Seed, RandomRoundTripProperty)
         s.energyAtCreation = rng.range(1 << 10);
         const size_t nblocks = rng.range(20);
         for (size_t b = 0; b < nblocks; ++b) {
-            SeedBlock blk;
+            s.stimulus.beginBlock();
             const size_t ninsns = 1 + rng.range(6);
             for (size_t i = 0; i < ninsns; ++i)
-                blk.insns.push_back(
+                s.stimulus.pushWord(
                     static_cast<uint32_t>(rng.range(~0u)));
+            StimulusBlock &blk = s.stimulus.blocks.back();
             blk.primeIdx =
                 static_cast<uint32_t>(rng.range(ninsns));
             blk.isControlFlow = rng.range(2) == 1;
             blk.targetBlock =
                 static_cast<int32_t>(rng.range(nblocks + 1)) - 1;
             blk.position = static_cast<uint32_t>(b);
-            s.blocks.push_back(std::move(blk));
         }
         const auto bytes = s.serialize();
         const Seed t = Seed::deserialize(bytes);
@@ -103,13 +113,7 @@ TEST(Seed, RandomRoundTripProperty)
         EXPECT_EQ(t.originOp, s.originOp);
         EXPECT_EQ(t.lineageDepth, s.lineageDepth);
         EXPECT_EQ(t.energyAtCreation, s.energyAtCreation);
-        ASSERT_EQ(t.blocks.size(), s.blocks.size());
-        for (size_t i = 0; i < s.blocks.size(); ++i) {
-            EXPECT_EQ(t.blocks[i].insns, s.blocks[i].insns);
-            EXPECT_EQ(t.blocks[i].primeIdx, s.blocks[i].primeIdx);
-            EXPECT_EQ(t.blocks[i].targetBlock,
-                      s.blocks[i].targetBlock);
-        }
+        EXPECT_TRUE(t.stimulus == s.stimulus);
         EXPECT_EQ(t.serialize(), bytes);
     }
 }
@@ -177,16 +181,19 @@ TEST(Seed, OutOfRangePrimeIndexRejected)
 
 TEST(Seed, EmptyControlFlowBlockRejected)
 {
-    // Consumers patch insns[primeIdx] of control-flow blocks
-    // unconditionally, so a crafted empty one must not parse.
-    Seed s;
-    SeedBlock empty_cf;
-    empty_cf.isControlFlow = true;
-    s.blocks.push_back(empty_cf);
-    std::string error;
-    EXPECT_FALSE(
-        Seed::tryDeserialize(s.serialize(), &error).has_value());
-    EXPECT_NE(error.find("control-flow"), std::string::npos);
+    // Consumers index a block's prime word unconditionally (patching
+    // control flow, mutating retained blocks), so a crafted empty
+    // block must not parse — control-flow or not.
+    for (const bool control_flow : {true, false}) {
+        Seed s;
+        s.stimulus.beginBlock().isControlFlow = control_flow;
+        std::string error;
+        EXPECT_FALSE(
+            Seed::tryDeserialize(s.serialize(), &error).has_value())
+            << "control flow " << control_flow;
+        EXPECT_NE(error.find("without instructions"), std::string::npos);
+        EXPECT_THROW(Seed::deserialize(s.serialize()), SeedFormatError);
+    }
 }
 
 TEST(Seed, SerializedSizeFitsBramBudget)
@@ -195,15 +202,71 @@ TEST(Seed, SerializedSizeFitsBramBudget)
     // seed must fit.
     Seed s;
     for (int b = 0; b < 1600; ++b) {
-        SeedBlock blk;
-        blk.insns = {0x13, 0x13, 0x13 /* nops */};
+        StimulusBlock &blk = addBlock(s.stimulus, {0x13, 0x13, 0x13});
         blk.primeIdx = 2;
         blk.position = static_cast<uint32_t>(b);
-        s.blocks.push_back(blk);
     }
     EXPECT_EQ(s.totalInstrs(), 4800u);
     // Worst case ~ 4 bytes/instr + 13 bytes/block metadata + header.
     EXPECT_LT(s.serialize().size(), 48000u);
+}
+
+TEST(Stimulus, AppendBlocksCopiesWordsAndRecords)
+{
+    const Stimulus src = sampleSeed().stimulus;
+    Stimulus dst;
+    addBlock(dst, {0x13});
+    dst.appendBlocks(src, 1, 1);
+    dst.appendBlocks(src, 0, 2);
+    dst.appendBlocks(src, 0, 0);
+    EXPECT_EQ(dst.words,
+              (std::vector<uint32_t>{0x13, 0x00b50863, 0x00100093,
+                                     0x00208133, 0x00b50863}));
+    ASSERT_EQ(dst.blocks.size(), 4u);
+    EXPECT_EQ(dst.blocks[1].offset, 1u);
+    EXPECT_EQ(dst.blocks[1].count, 1u);
+    EXPECT_TRUE(dst.blocks[1].isControlFlow);
+    EXPECT_EQ(dst.blocks[1].targetBlock, 0);
+    EXPECT_EQ(dst.blocks[1].position, 1u);
+    EXPECT_EQ(dst.blocks[2].offset, 2u);
+    EXPECT_EQ(dst.blocks[2].primeIdx, 1u);
+    EXPECT_EQ(dst.primeWord(2), 0x00208133u);
+    EXPECT_EQ(dst.blocks[3].offset, 4u);
+    EXPECT_EQ(dst.primeWord(3), 0x00b50863u);
+    EXPECT_EQ(dst.totalInstrs(), 5u);
+}
+
+TEST(Stimulus, TruncateKeepsLeadingBlocks)
+{
+    Stimulus s = sampleSeed().stimulus;
+    s.truncate(5);
+    EXPECT_EQ(s.blocks.size(), 2u);
+    s.truncate(1);
+    EXPECT_EQ(s.blocks.size(), 1u);
+    EXPECT_EQ(s.words, (std::vector<uint32_t>{0x00100093, 0x00208133}));
+    s.truncate(0);
+    EXPECT_TRUE(s.blocks.empty());
+    EXPECT_TRUE(s.words.empty());
+}
+
+TEST(Stimulus, EraseWordShiftsLaterBlocks)
+{
+    Stimulus s;
+    addBlock(s, {1, 2, 3}).primeIdx = 2;
+    addBlock(s, {4, 5}).primeIdx = 1;
+    addBlock(s, {6});
+    s.eraseWord(0, 0); // before the prime: the prime index follows
+    EXPECT_EQ(s.words, (std::vector<uint32_t>{2, 3, 4, 5, 6}));
+    EXPECT_EQ(s.blocks[0].count, 2u);
+    EXPECT_EQ(s.blocks[0].primeIdx, 1u);
+    EXPECT_EQ(s.primeWord(0), 3u);
+    EXPECT_EQ(s.blocks[1].offset, 2u);
+    EXPECT_EQ(s.blocks[2].offset, 4u);
+    s.eraseWord(1, 0);
+    EXPECT_EQ(s.words, (std::vector<uint32_t>{2, 3, 5, 6}));
+    EXPECT_EQ(s.primeWord(1), 5u);
+    EXPECT_EQ(s.blocks[2].offset, 3u);
+    EXPECT_EQ(s.blockWords(2)[0], 6u);
 }
 
 } // namespace

@@ -30,7 +30,8 @@ TEST(TurboFuzzer, GeneratesTargetInstructionCount)
     const IterationInfo info = fz.generateIteration(mem);
     EXPECT_GE(info.generatedInstrs, 1000u);
     EXPECT_LT(info.generatedInstrs, 1100u); // last block overshoot only
-    EXPECT_GT(info.blocks.size(), 200u);
+    EXPECT_GT(info.stimulus.blocks.size(), 200u);
+    EXPECT_EQ(info.stimulus.totalInstrs(), info.generatedInstrs);
     EXPECT_EQ(info.entryPc, opts.layout.instrBase);
     EXPECT_GT(info.codeBoundary, info.firstBlockPc);
 }
@@ -56,18 +57,20 @@ TEST(TurboFuzzer, ControlFlowTargetsLandOnBlockBoundaries)
     soc::Memory mem;
     const IterationInfo info = fz.generateIteration(mem);
 
-    // Reconstruct block base addresses.
+    // Reconstruct block base addresses; blocks are contiguous, so
+    // each one's word offset locates it.
     std::set<uint64_t> bases;
     uint64_t addr = info.firstBlockPc;
-    for (const SeedBlock &b : info.blocks) {
+    for (const StimulusBlock &b : info.stimulus.blocks) {
+        EXPECT_EQ(addr, info.firstBlockPc + 4ull * b.offset);
         bases.insert(addr);
-        addr += 4ull * b.instrCount();
+        addr += 4ull * b.count;
     }
     bases.insert(info.codeBoundary);
 
     // Every branch/jal target must be a block base.
     addr = info.firstBlockPc;
-    for (const SeedBlock &b : info.blocks) {
+    for (const StimulusBlock &b : info.stimulus.blocks) {
         const uint64_t prime_addr = addr + 4ull * b.primeIdx;
         const isa::Decoded d =
             isa::decode(mem.read32(prime_addr));
@@ -78,7 +81,7 @@ TEST(TurboFuzzer, ControlFlowTargetsLandOnBlockBoundaries)
             EXPECT_TRUE(bases.count(target))
                 << "target 0x" << std::hex << target;
         }
-        addr += 4ull * b.instrCount();
+        addr += 4ull * b.count;
     }
 }
 
@@ -90,9 +93,9 @@ TEST(TurboFuzzer, JumpRangeLimitRespected)
     TurboFuzzer fz(opts, &testLibrary());
     soc::Memory mem;
     const IterationInfo info = fz.generateIteration(mem);
-    const auto n = static_cast<int64_t>(info.blocks.size());
+    const auto n = static_cast<int64_t>(info.stimulus.blocks.size());
     for (int64_t i = 0; i < n; ++i) {
-        const SeedBlock &b = info.blocks[i];
+        const StimulusBlock &b = info.stimulus.blocks[i];
         if (!b.isControlFlow || b.targetBlock < 0)
             continue;
         // Freshly generated targets stay within the window (retained
@@ -165,15 +168,13 @@ TEST(TurboFuzzer, MutationModeReusesSeedBlocks)
     // With pure retention, the second iteration's block instruction
     // words come from the seed (operand mutation may tweak them, so
     // compare block sizes which retention preserves).
-    ASSERT_GE(second.blocks.size(), first.blocks.size() - 1);
+    const auto &a = first.stimulus.blocks;
+    const auto &b = second.stimulus.blocks;
+    ASSERT_GE(b.size(), a.size() - 1);
     size_t matching = 0;
-    for (size_t i = 0;
-         i < std::min(first.blocks.size(), second.blocks.size());
-         ++i) {
-        matching += first.blocks[i].insns.size() ==
-                    second.blocks[i].insns.size();
-    }
-    EXPECT_GT(matching, first.blocks.size() / 2);
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+        matching += a[i].count == b[i].count;
+    EXPECT_GT(matching, a.size() / 2);
 }
 
 TEST(TurboFuzzer, IterationRunsToBoundaryOnIss)

@@ -173,9 +173,8 @@ TEST(Campaign, InjectSeedsReachesGeneratorCorpus)
     const size_t before = gen->underlying().corpus().size();
 
     fuzzer::Seed s;
-    fuzzer::SeedBlock b;
-    b.insns = {0x13}; // nop
-    s.blocks.push_back(b);
+    s.stimulus.beginBlock();
+    s.stimulus.pushWord(0x13); // nop
     s.coverageIncrement = 1 << 20; // outranks anything resident
     EXPECT_EQ(c.injectSharedSeeds({fuzzer::makeSeedShare(s)}), 1u);
     EXPECT_EQ(gen->underlying().corpus().size(), before + 1);
@@ -187,12 +186,11 @@ TEST(Campaign, ValueCopySeedAdaptersFollowSharedPath)
     // shared exchange path: the same dedup and the same ranking.
     auto gen = makeGen(15);
     fuzzer::Seed a;
-    fuzzer::SeedBlock b;
-    b.insns = {0x13};
-    a.blocks.push_back(b);
+    a.stimulus.beginBlock();
+    a.stimulus.pushWord(0x13);
     a.coverageIncrement = 1 << 20;
     fuzzer::Seed z = a;
-    z.blocks[0].insns[0] = 0x93;
+    z.stimulus.words[0] = 0x93;
     z.coverageIncrement = 1 << 21;
     EXPECT_EQ(gen->importSeeds({a, a, z}), 2u); // batch dedup
     EXPECT_EQ(gen->importSeeds({z}), 0u);       // resident dedup

@@ -409,9 +409,9 @@ TEST(ProvenanceCampaign, ImportedSeedsBecomeLineageRoots)
     foreign.originOp = 2;
     foreign.lineageDepth = 4;
     foreign.coverageIncrement = 10;
-    fuzzer::SeedBlock blk;
-    blk.insns = {0x13, 0x93};
-    foreign.blocks.push_back(blk);
+    foreign.stimulus.beginBlock();
+    foreign.stimulus.pushWord(0x13);
+    foreign.stimulus.pushWord(0x93);
 
     uint64_t next_id = 100;
     ASSERT_EQ(corpus.importShared({fuzzer::makeSeedShare(foreign)},

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "soc/memory.hh"
 #include "soc/snapshot.hh"
 
@@ -48,14 +50,75 @@ TEST(Memory, PageStraddlingAccess)
     EXPECT_EQ(m.residentPages(), 2u);
 }
 
-TEST(Memory, LoadBlobAndClearRange)
+std::vector<uint8_t>
+imageOf(const Memory &m)
+{
+    SnapshotWriter w;
+    m.saveState(w);
+    return w.takeBuffer();
+}
+
+std::vector<uint32_t>
+wordRun(size_t n, uint32_t salt)
+{
+    std::vector<uint32_t> words(n);
+    for (size_t i = 0; i < n; ++i)
+        words[i] = static_cast<uint32_t>(i * 0x9E3779B1u) ^ salt;
+    return words;
+}
+
+TEST(Memory, WriteWordsMatchesWrite32Loop)
+{
+    // Within one page, across one and two page boundaries, from an
+    // unaligned start whose word straddles a page, and over memory
+    // that already holds data: bytes and page residency must equal
+    // those of the write32 loop.
+    const struct
+    {
+        uint64_t addr;
+        size_t words;
+    } cases[] = {
+        {0x3000, 5},
+        {0x3000 + Memory::pageSize - 8, 6},
+        {0x8000 - 4, 2 * Memory::pageSize / 4 + 3},
+        {0x6000 - 2, 3},
+        {0x10000, 0},
+    };
+    for (const auto &c : cases) {
+        const std::vector<uint32_t> words = wordRun(c.words, 0xA5A5);
+        Memory bulk, loop;
+        for (Memory *m : {&bulk, &loop})
+            m->write64(0x3010, 0x1122334455667788ull);
+        bulk.writeWords(c.addr, words);
+        for (size_t i = 0; i < words.size(); ++i)
+            loop.write32(c.addr + 4 * i, words[i]);
+        EXPECT_EQ(imageOf(bulk), imageOf(loop))
+            << "addr 0x" << std::hex << c.addr;
+        EXPECT_EQ(bulk.residentPages(), loop.residentPages());
+        for (size_t i = 0; i < words.size(); ++i)
+            ASSERT_EQ(bulk.read32(c.addr + 4 * i), words[i]);
+    }
+}
+
+TEST(Memory, WriteWordsBumpsFetchEpochOncePerCall)
 {
     Memory m;
-    const uint8_t blob[] = {1, 2, 3, 4, 5};
-    m.loadBlob(0x3000, blob, sizeof(blob));
-    EXPECT_EQ(m.read8(0x3002), 3u);
-    m.clearRange(0x3000, 5);
-    EXPECT_EQ(m.read8(0x3002), 0u);
+    const uint64_t before = m.fetchEpochOfSlot(0);
+    m.writeWords(0x1000, wordRun(3 * Memory::pageSize / 4, 1));
+    EXPECT_EQ(m.fetchEpochOfSlot(0), before + 1);
+
+    // A range that runs past a watch bumps the watch and the global
+    // slot, since fetches outside every watch read the global epoch.
+    m.addFetchWatch(0x1000, Memory::pageSize);
+    const uint32_t slot = m.fetchSlotFor(0x1000);
+    const uint64_t watch_before = m.fetchEpochOfSlot(slot);
+    const uint64_t global_before = m.fetchEpochOfSlot(0);
+    m.writeWords(0x1000, wordRun(8, 2));
+    EXPECT_EQ(m.fetchEpochOfSlot(slot), watch_before + 1);
+    EXPECT_EQ(m.fetchEpochOfSlot(0), global_before);
+    m.writeWords(0x1000 + Memory::pageSize - 8, wordRun(4, 3));
+    EXPECT_EQ(m.fetchEpochOfSlot(slot), watch_before + 2);
+    EXPECT_EQ(m.fetchEpochOfSlot(0), global_before + 1);
 }
 
 TEST(Memory, SparseDistantAddresses)
@@ -163,6 +226,28 @@ TEST(MemoryJournal, UndoDropsPagesTheWritesCreated)
     EXPECT_EQ(m.read8(0x1000), 0x11u);
     EXPECT_EQ(m.read8(0x1001), 0u);
     EXPECT_EQ(m.read64(0x8000), 0u);
+}
+
+TEST(MemoryJournal, UndoRestoresBulkWrite)
+{
+    Memory m;
+    m.write64(0x2000, 0x0102030405060708ull);
+    m.write32(0x2ffc, 0xCAFEF00Du);
+    const std::vector<uint8_t> before = imageOf(m);
+
+    MemWriteJournal j;
+    m.setJournal(&j);
+    // Overwrites resident words, runs into a fresh page, and is
+    // followed by a second bulk write over part of the first.
+    m.writeWords(0x2ff8, wordRun(Memory::pageSize / 4, 7));
+    m.writeWords(0x2000, wordRun(4, 9));
+    m.setJournal(nullptr);
+    EXPECT_EQ(j.size(), Memory::pageSize / 4 + 4);
+    EXPECT_GT(m.residentPages(), 1u);
+
+    m.undo(j);
+    EXPECT_EQ(imageOf(m), before);
+    EXPECT_EQ(m.residentPages(), 1u);
 }
 
 TEST(MemoryJournal, CopyDoesNotTransferJournal)

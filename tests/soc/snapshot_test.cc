@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
+#include "common/rng.hh"
 #include "soc/snapshot.hh"
 
 namespace turbofuzz::soc
@@ -28,6 +30,45 @@ TEST(SnapshotWriter, ScalarRoundTrip)
     EXPECT_EQ(r.getU64(), 0x0123456789ABCDEFull);
     EXPECT_EQ(r.getString(), "turbofuzz");
     EXPECT_TRUE(r.exhausted());
+}
+
+TEST(SnapshotWriter, ScalarBytesAreLittleEndian)
+{
+    SnapshotWriter w;
+    w.putU16(0x0102);
+    w.putU32(0x03040506);
+    w.putU64(0x0708090A0B0C0D0Eull);
+    EXPECT_EQ(w.buffer(),
+              (std::vector<uint8_t>{0x02, 0x01, 0x06, 0x05, 0x04, 0x03,
+                                    0x0E, 0x0D, 0x0C, 0x0B, 0x0A, 0x09,
+                                    0x08, 0x07}));
+}
+
+TEST(SnapshotWriter, U32ArrayRoundTrip)
+{
+    // Random arrays, including empty ones, written in bulk: the bytes
+    // equal a putU32 loop's, and the bulk get reads them back.
+    Rng rng(0x5EED);
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<uint32_t> values(rng.range(300));
+        for (uint32_t &v : values)
+            v = static_cast<uint32_t>(rng.next());
+        SnapshotWriter bulk, loop;
+        bulk.putU8(0x7F);
+        loop.putU8(0x7F);
+        bulk.putU32Array(values);
+        for (const uint32_t v : values)
+            loop.putU32(v);
+        ASSERT_EQ(bulk.buffer(), loop.buffer());
+
+        const auto buf = bulk.buffer();
+        SnapshotReader r(buf);
+        EXPECT_EQ(r.getU8(), 0x7Fu);
+        std::vector<uint32_t> back(values.size());
+        r.getU32Array(back);
+        EXPECT_EQ(back, values);
+        EXPECT_TRUE(r.exhausted());
+    }
 }
 
 TEST(Snapshot, SectionsAndMetadata)
@@ -116,6 +157,39 @@ TEST(SnapshotHardening, ReaderGetBytesRejectsOverflowingSize)
     r.getU8(); // cursor != 0 so the historical form could wrap
     uint8_t out[4];
     EXPECT_THROW(r.getBytes(out, SIZE_MAX - 2), SnapshotFormatError);
+}
+
+TEST(SnapshotHardening, U32ArrayRejectsOversizedCountWithoutConsuming)
+{
+    const std::vector<uint8_t> buf = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    SnapshotReader r(buf);
+    r.getU8();
+    const size_t remaining = r.remaining();
+    std::vector<uint32_t> out(3); // 12 bytes wanted, 9 left
+    EXPECT_THROW(r.getU32Array(out), SnapshotFormatError);
+    EXPECT_EQ(r.remaining(), remaining);
+    std::vector<uint32_t> huge(1u << 20);
+    EXPECT_THROW(r.getU32Array(huge), SnapshotFormatError);
+    EXPECT_EQ(r.remaining(), remaining);
+    // The buffer is still readable where it was.
+    std::vector<uint32_t> two(2);
+    r.getU32Array(two);
+    EXPECT_EQ(two[0], 0x05040302u);
+    EXPECT_EQ(r.remaining(), 1u);
+}
+
+TEST(SnapshotHardening, ScalarUnderrunLeavesCursor)
+{
+    const std::vector<uint8_t> buf = {1, 2, 3};
+    SnapshotReader r(buf);
+    EXPECT_THROW(r.getU32(), SnapshotFormatError);
+    EXPECT_THROW(r.getU64(), SnapshotFormatError);
+    EXPECT_EQ(r.remaining(), 3u);
+    EXPECT_EQ(r.getU16(), 0x0201u);
+    EXPECT_THROW(r.getU16(), SnapshotFormatError);
+    EXPECT_EQ(r.getU8(), 3u);
+    EXPECT_THROW(r.getU8(), SnapshotFormatError);
+    EXPECT_TRUE(r.exhausted());
 }
 
 TEST(SnapshotHardening, GetStringRejectsOversizedLengthBeforeAlloc)

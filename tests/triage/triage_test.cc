@@ -82,16 +82,17 @@ TEST(ReproducerCapture, CampaignRetainsMismatchingStimulus)
     ASSERT_FALSE(campaign.reproducers().empty());
 
     const Reproducer &r = campaign.reproducers().front();
-    EXPECT_FALSE(r.iteration.blocks.empty());
+    EXPECT_FALSE(r.iteration.stimulus.blocks.empty());
     EXPECT_GT(r.iteration.generatedInstrs, 0u);
     EXPECT_TRUE(r.bugs().has(core::BugId::R1));
     EXPECT_EQ(r.mismatch.kind, checker::MismatchKind::Minstret);
     EXPECT_GT(r.detectSimTimeSec, 0.0);
     // The stimulus blocks sum to the recorded instruction count.
     uint32_t instrs = 0;
-    for (const auto &b : r.iteration.blocks)
-        instrs += b.instrCount();
+    for (const fuzzer::StimulusBlock &b : r.iteration.stimulus.blocks)
+        instrs += b.count;
     EXPECT_EQ(instrs, r.iteration.generatedInstrs);
+    EXPECT_EQ(r.iteration.stimulus.totalInstrs(), instrs);
 }
 
 TEST(ReproducerCapture, CapRespectedAndGeneratorGated)
@@ -153,8 +154,7 @@ TEST(Reproducer, SerializeRoundTripReplaysIdentically)
     const Reproducer back = Reproducer::deserialize(bytes);
     EXPECT_EQ(back.bugsRaw, r->bugsRaw);
     EXPECT_EQ(back.commitIndex, r->commitIndex);
-    EXPECT_EQ(back.iteration.blocks.size(),
-              r->iteration.blocks.size());
+    EXPECT_TRUE(back.iteration.stimulus == r->iteration.stimulus);
     EXPECT_EQ(back.mismatch.pc, r->mismatch.pc);
     EXPECT_TRUE(ReplayHarness::verifyDeterministic(back));
 }
@@ -242,12 +242,13 @@ TEST(Minimizer, RebuildRepatchesControlFlow)
 
     // Keeping every block must replay to the identical mismatch:
     // re-layout at unchanged addresses is the identity transform.
-    Reproducer same =
-        Minimizer::rebuild(*r, r->iteration.blocks);
+    Reproducer same = *r;
+    Minimizer::rebuild(same);
     EXPECT_EQ(same.iteration.generatedInstrs,
               r->iteration.generatedInstrs);
     EXPECT_EQ(same.iteration.codeBoundary,
               r->iteration.codeBoundary);
+    EXPECT_TRUE(same.iteration.stimulus == r->iteration.stimulus);
     EXPECT_TRUE(
         ReplayHarness::confirms(*r, ReplayHarness::replay(same)));
 }
@@ -325,20 +326,20 @@ TEST(ReplayContext, MatchesColdReplayBitExactly)
 
         // Minimizer-shaped candidates: a front half and a back half
         // of the block list, re-laid-out through rebuild().
-        const auto &blocks = r->iteration.blocks;
-        if (blocks.size() >= 4) {
-            const auto mid = blocks.begin() +
-                             static_cast<long>(blocks.size() / 2);
-            expect_same(
-                Minimizer::rebuild(
-                    *r, std::vector<fuzzer::SeedBlock>(
-                            blocks.begin(), mid)),
-                "front-half candidate");
-            expect_same(
-                Minimizer::rebuild(
-                    *r, std::vector<fuzzer::SeedBlock>(
-                            mid, blocks.end())),
-                "back-half candidate");
+        const fuzzer::Stimulus &stim = r->iteration.stimulus;
+        const size_t nblocks = stim.blocks.size();
+        if (nblocks >= 4) {
+            Reproducer front = *r;
+            front.iteration.stimulus.truncate(nblocks / 2);
+            Minimizer::rebuild(front);
+            expect_same(front, "front-half candidate");
+
+            Reproducer back = *r;
+            back.iteration.stimulus.clear();
+            back.iteration.stimulus.appendBlocks(stim, nblocks / 2,
+                                                 nblocks - nblocks / 2);
+            Minimizer::rebuild(back);
+            expect_same(back, "back-half candidate");
         }
     }
 }

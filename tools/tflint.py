@@ -12,8 +12,8 @@ Machine-checks the repo invariants that ordinary compilers cannot see
                 breaks resume-equals-uninterrupted replay.
   hot-path      Functions annotated `// tflint: hot-path` must not
                 allocate from the heap, touch std::map/unordered_map,
-                or acquire locks (guards the PR 8 arena/decode-cache
-                fast path).
+                or acquire locks (guards the decode-cache fast
+                path).
   wire-safety   Every function that *constructs* a soc::SnapshotReader
                 (i.e. a trust boundary where raw bytes enter) must
                 either catch SnapshotFormatError in-function or
