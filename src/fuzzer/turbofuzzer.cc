@@ -33,6 +33,7 @@ TurboFuzzer::chooseBlocks(IterationInfo &info)
 {
     Stimulus &stim = info.stimulus;
     stim.blocks.reserve(lastBlockCount + lastBlockCount / 8 + 8);
+    // The last block may run past the target by a few words.
     stim.words.reserve(opts.instrsPerIteration + 16);
     info.parentSeedId = 0;
 

@@ -173,14 +173,9 @@ SnapshotReader::getF64()
 void
 SnapshotReader::getU32Array(std::span<uint32_t> out)
 {
-    // One check for the whole array; a count the buffer cannot hold
-    // throws before the cursor moves.
-    if (out.size() > remaining() / 4)
-        throw SnapshotFormatError(formatError(
-            "snapshot underrun", remaining(),
-            static_cast<unsigned long long>(out.size()) * 4));
     if (out.empty())
         return;
+    // One check for the whole array, before the cursor moves.
     const uint8_t *in = take(4 * out.size());
     if constexpr (std::endian::native == std::endian::little) {
         std::memcpy(out.data(), in, 4 * out.size());
