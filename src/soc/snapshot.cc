@@ -14,6 +14,11 @@ namespace
 
 constexpr uint32_t snapshotMagic = 0x54465350; // "TFSP"
 
+// The u32 array put/get copy words as they sit in host memory, as
+// soc::Memory does for guest words.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot word arrays assume a little-endian host");
+
 std::string
 formatError(const char *what, unsigned long long have,
             unsigned long long need)
@@ -94,15 +99,7 @@ SnapshotWriter::putU32Array(std::span<const uint32_t> values)
         return;
     const size_t at = bytes.size();
     bytes.resize(at + 4 * values.size());
-    uint8_t *out = bytes.data() + at;
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(out, values.data(), 4 * values.size());
-    } else {
-        for (const uint32_t v : values) {
-            storeLE(out, v);
-            out += 4;
-        }
-    }
+    std::memcpy(bytes.data() + at, values.data(), 4 * values.size());
 }
 
 void
@@ -176,15 +173,7 @@ SnapshotReader::getU32Array(std::span<uint32_t> out)
     if (out.empty())
         return;
     // One check for the whole array, before the cursor moves.
-    const uint8_t *in = take(4 * out.size());
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(out.data(), in, 4 * out.size());
-    } else {
-        for (uint32_t &v : out) {
-            v = loadLE<uint32_t>(in);
-            in += 4;
-        }
-    }
+    std::memcpy(out.data(), take(4 * out.size()), 4 * out.size());
 }
 
 void
