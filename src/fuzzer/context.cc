@@ -13,13 +13,12 @@ FuzzContext::FuzzContext(const MemoryLayout &layout) : memLayout(layout)
 void
 FuzzContext::beginIteration()
 {
-    blockAddrs.clear();
     cumInstrs = 0;
     cursor = memLayout.instrBase;
     boundary = 0;
 }
 
-uint32_t
+void
 FuzzContext::recordBlock(uint64_t base_addr, uint32_t instr_count)
 {
     TF_ASSERT(base_addr % 4 == 0, "block base must be word aligned");
@@ -27,17 +26,8 @@ FuzzContext::recordBlock(uint64_t base_addr, uint32_t instr_count)
                   base_addr + 4ull * instr_count <=
                       memLayout.instrBase + memLayout.instrSize,
               "block escapes the instruction segment");
-    blockAddrs.push_back(base_addr);
     cumInstrs += instr_count;
     cursor = base_addr + 4ull * instr_count;
-    return static_cast<uint32_t>(blockAddrs.size() - 1);
-}
-
-uint64_t
-FuzzContext::blockAddress(uint32_t index) const
-{
-    TF_ASSERT(index < blockAddrs.size(), "bad block index %u", index);
-    return blockAddrs[index];
 }
 
 void

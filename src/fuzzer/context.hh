@@ -3,19 +3,20 @@
  * Global execution context metadata (paper §IV-B2) and the memory
  * layout contract between fuzzer, DUT and harness.
  *
- * During iteration generation the context records the cumulative
- * instruction count and the memory-aligned base address of every
- * emitted instruction block (the "global address table"); branch
- * targets are selected from this table so jumps always land on block
- * boundaries. When generation completes, the context holds the final
- * instruction count and the code-segment boundary.
+ * During iteration generation the context checks that every emitted
+ * instruction block is word aligned and fits the instruction segment,
+ * and tracks the cumulative instruction count. Blocks are laid out
+ * contiguously, so block i starts at firstBlockPc + 4 * (its word
+ * offset in the stimulus); control-flow fix-up derives jump targets
+ * from those offsets, so jumps always land on block boundaries. When
+ * generation completes, the context holds the final instruction count
+ * and the code-segment boundary.
  */
 
 #ifndef TURBOFUZZ_FUZZER_CONTEXT_HH
 #define TURBOFUZZ_FUZZER_CONTEXT_HH
 
 #include <cstdint>
-#include <vector>
 
 namespace turbofuzz::fuzzer
 {
@@ -51,17 +52,8 @@ class FuzzContext
     /** Begin a new iteration at the instruction segment base. */
     void beginIteration();
 
-    /** Record a block base address; returns the block index. */
-    uint32_t recordBlock(uint64_t base_addr, uint32_t instr_count);
-
-    /** Address of block @p index (the global address table). */
-    uint64_t blockAddress(uint32_t index) const;
-
-    /** Number of recorded blocks. */
-    uint32_t blockCount() const
-    {
-        return static_cast<uint32_t>(blockAddrs.size());
-    }
+    /** Record a block of @p instr_count words at @p base_addr. */
+    void recordBlock(uint64_t base_addr, uint32_t instr_count);
 
     /** Cumulative instructions generated this iteration. */
     uint64_t cumulativeInstrCount() const { return cumInstrs; }
@@ -82,7 +74,6 @@ class FuzzContext
 
   private:
     MemoryLayout memLayout;
-    std::vector<uint64_t> blockAddrs;
     uint64_t cumInstrs = 0;
     uint64_t cursor = 0;
     uint64_t boundary = 0;

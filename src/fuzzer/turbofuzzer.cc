@@ -115,7 +115,7 @@ TurboFuzzer::fixupControlFlow(Stimulus &stim, uint64_t first_block_pc)
         if (!b.isControlFlow)
             continue;
 
-        // Jump-target selection against the global address table.
+        // Jump-target selection among the iteration's blocks.
         int64_t target = -1;
         if (b.targetBlock >= 0 && b.targetBlock < nblocks &&
             b.targetBlock != i) {

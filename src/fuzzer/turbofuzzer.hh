@@ -4,7 +4,7 @@
  * behavioural model. One generateIteration() call corresponds to one
  * pass of the on-fabric generation pipeline: seed selection, per-
  * transition direct/mutation mode choice, instruction-block
- * construction, control-flow fix-up against the global address table,
+ * construction, control-flow fix-up against block word offsets,
  * unified operand assignment, and commitment of the iteration into
  * the DDR instruction segment.
  */

@@ -13,18 +13,16 @@ TEST(FuzzContext, RecordsBlocksAndCounts)
 {
     MemoryLayout lay;
     FuzzContext ctx(lay);
-    EXPECT_EQ(ctx.blockCount(), 0u);
+    EXPECT_EQ(ctx.cumulativeInstrCount(), 0u);
     EXPECT_EQ(ctx.nextAddress(), lay.instrBase);
 
-    const uint32_t b0 = ctx.recordBlock(lay.instrBase, 4);
-    EXPECT_EQ(b0, 0u);
+    ctx.recordBlock(lay.instrBase, 4);
     EXPECT_EQ(ctx.cumulativeInstrCount(), 4u);
     EXPECT_EQ(ctx.nextAddress(), lay.instrBase + 16);
 
-    const uint32_t b1 = ctx.recordBlock(lay.instrBase + 16, 2);
-    EXPECT_EQ(b1, 1u);
-    EXPECT_EQ(ctx.blockAddress(0), lay.instrBase);
-    EXPECT_EQ(ctx.blockAddress(1), lay.instrBase + 16);
+    ctx.recordBlock(lay.instrBase + 16, 2);
+    EXPECT_EQ(ctx.cumulativeInstrCount(), 6u);
+    EXPECT_EQ(ctx.nextAddress(), lay.instrBase + 24);
 }
 
 TEST(FuzzContext, FinalizeRecordsBoundary)
@@ -42,7 +40,6 @@ TEST(FuzzContext, BeginIterationResets)
     FuzzContext ctx(lay);
     ctx.recordBlock(lay.instrBase, 8);
     ctx.beginIteration();
-    EXPECT_EQ(ctx.blockCount(), 0u);
     EXPECT_EQ(ctx.cumulativeInstrCount(), 0u);
     EXPECT_EQ(ctx.nextAddress(), lay.instrBase);
 }
